@@ -3,10 +3,10 @@
 
 use crate::args::{Command, WireChoice};
 use crate::external::{ExternalObjective, MeasureError};
-use harmony::history::{DataAnalyzer, ExperienceDb, RunHistory, TuningRecord};
+use harmony::history::{DataAnalyzer, ExperienceDb};
 use harmony::prelude::*;
+use harmony::report::{analyze_trace, ReportOptions, TraceEntry};
 use harmony::sensitivity::Prioritizer;
-use harmony::tuner::TrainingMode;
 use harmony_engines::{
     registry, render_leaderboard, run_tournament, SearchEngine, TournamentOptions,
 };
@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io::Read as _;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Top-level error type for command execution.
 #[derive(Debug)]
@@ -207,22 +208,10 @@ pub fn run(command: Command) -> Result<String, RunError> {
                     wire,
                     measure,
                 )?;
-            } else if let Some(name) = engine {
+            } else {
                 tune_with_engine(
                     &mut out,
-                    &name,
-                    &rsl,
-                    iterations,
-                    original,
-                    db,
-                    label,
-                    characteristics,
-                    jobs,
-                    measure,
-                )?;
-            } else {
-                tune_local(
-                    &mut out,
+                    engine.as_deref().unwrap_or("simplex"),
                     &rsl,
                     iterations,
                     original,
@@ -348,110 +337,6 @@ pub fn run(command: Command) -> Result<String, RunError> {
     Ok(out)
 }
 
-/// Tune with the in-process kernel, measuring via the external command.
-///
-/// Each exploration runs through [`ExternalObjective::measure_once`], so a
-/// crashed command, a non-zero exit, or unparseable output stops the run
-/// with the underlying error — it is never silently folded into the
-/// search as a performance value.
-///
-/// With `jobs > 1`, batchable phases of the search (the initial simplex,
-/// vertex refreshes) measure on that many worker threads, and every
-/// measurement is memoized per exact configuration so revisited points
-/// cost nothing; for a deterministic measure command the outcome is
-/// identical to the sequential run.
-#[allow(clippy::too_many_arguments)]
-fn tune_local(
-    out: &mut String,
-    rsl: &str,
-    iterations: usize,
-    original: bool,
-    db: Option<String>,
-    label: String,
-    characteristics: Vec<f64>,
-    jobs: usize,
-    measure: Vec<String>,
-) -> Result<(), RunError> {
-    let space = load_space(rsl)?;
-    let mut database = match &db {
-        Some(path) if fs::metadata(path).is_ok() => {
-            ExperienceDb::load(path).map_err(|e| fail(e.to_string()))?
-        }
-        _ => ExperienceDb::new(),
-    };
-    let options = if original {
-        TuningOptions::original()
-    } else {
-        TuningOptions::improved()
-    }
-    .with_max_iterations(iterations);
-    let tuner = Tuner::new(space.clone(), options);
-    let obj = ExternalObjective::new(space.clone(), measure);
-
-    // Classify against prior experience when characteristics are
-    // provided.
-    let prior = if characteristics.is_empty() {
-        None
-    } else {
-        DataAnalyzer::new().select(&database, &characteristics)
-    };
-    let mut session = match &prior {
-        Some(history) => {
-            let _ = writeln!(out, "training from prior run {:?}", history.label);
-            tuner.session_trained(history, TrainingMode::Replay(10))
-        }
-        None => tuner.session(),
-    };
-    if jobs > 1 {
-        let executor = Executor::new(jobs);
-        let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
-        let stash = StashingEval::new(&obj);
-        let eval = |cfg: &Configuration| stash.eval(cfg);
-        loop {
-            let batch = session.next_batch();
-            if batch.is_empty() {
-                break;
-            }
-            let performances = executor.evaluate_batch_cached(&batch, &cache, &eval);
-            // Bail before a failure's -inf placeholder reaches the search.
-            stash.check()?;
-            session
-                .observe_batch(&performances)
-                .map_err(|e| fail(e.to_string()))?;
-        }
-    } else {
-        while let Some(cfg) = session.next_config() {
-            let performance = measure_exploration(&obj, &cfg, session.iterations())?;
-            session
-                .observe(performance)
-                .map_err(|e| fail(e.to_string()))?;
-        }
-    }
-    let outcome = session.finish();
-
-    let _ = writeln!(out, "explored {} configurations", outcome.trace.len());
-    let _ = writeln!(out, "best performance: {:.4}", outcome.best_performance);
-    for (p, &v) in space
-        .params()
-        .iter()
-        .zip(outcome.best_configuration.values())
-    {
-        let _ = writeln!(out, "  {:<24} = {v}", p.name());
-    }
-    let _ = writeln!(
-        out,
-        "convergence at iteration {}; worst dip {:.4}; converged: {}",
-        outcome.report.convergence_time, outcome.report.worst_performance, outcome.converged
-    );
-
-    if let Some(path) = db {
-        database.add_run(outcome.to_history(label, characteristics));
-        database.save(&path).map_err(|e| fail(e.to_string()))?;
-        let _ = writeln!(out, "experience saved to {path} ({} runs)", database.len());
-    }
-    Ok(())
-}
-
 fn mix_by_name(name: &str) -> Result<WorkloadMix, RunError> {
     match name {
         "browsing" => Ok(WorkloadMix::browsing()),
@@ -463,12 +348,24 @@ fn mix_by_name(name: &str) -> Result<WorkloadMix, RunError> {
     }
 }
 
-/// Tune with a pluggable [`harmony_engines`] search engine instead of
-/// the built-in simplex session. Shares `tune`'s measurement, memoizing
-/// `--jobs` batching, and experience-database handling: with
-/// `--characteristics` and a `--db`, the classified prior run warm-starts
-/// the engine through [`SearchEngine::warm_start`], and the finished
-/// run's records are saved back.
+/// Tune in-process with a [`harmony_engines`] search engine — the
+/// paper's simplex unless `--engine` names another — measuring via the
+/// external command.
+///
+/// Each exploration runs through [`ExternalObjective::measure_once`], so a
+/// crashed command, a non-zero exit, or unparseable output stops the run
+/// with the underlying error — it is never silently folded into the
+/// search as a performance value.
+///
+/// With `jobs > 1`, batchable phases of the search (the initial simplex,
+/// vertex refreshes) measure on that many worker threads, and every
+/// measurement is memoized per exact configuration so revisited points
+/// cost nothing; for a deterministic measure command the outcome is
+/// identical to the sequential run.
+///
+/// With `--characteristics` and a `--db`, the classified prior run
+/// warm-starts the engine through [`SearchEngine::warm_start`] (§4.2),
+/// and the finished run's records are saved back.
 ///
 /// [`SearchEngine::warm_start`]: harmony_engines::SearchEngine::warm_start
 #[allow(clippy::too_many_arguments)]
@@ -518,7 +415,15 @@ fn tune_with_engine(
         let _ = writeln!(out, "training from prior run {:?}", history.label);
         engine.warm_start(history);
     }
-    let mut records = Vec::new();
+    let started = Instant::now();
+    let mut trace = Vec::new();
+    let mut record = |config: Configuration, performance: f64| {
+        trace.push(TraceEntry {
+            iteration: trace.len(),
+            config,
+            performance,
+        })
+    };
     if jobs > 1 {
         let executor = Executor::new(jobs);
         let cache = MemoCache::new(JOBS_CACHE_CAPACITY);
@@ -535,8 +440,8 @@ fn tune_with_engine(
             let used = engine
                 .observe_batch(&performances)
                 .map_err(|e| fail(e.to_string()))?;
-            for (cfg, &perf) in batch.iter().zip(&performances).take(used) {
-                records.push(TuningRecord::new(cfg, perf));
+            for (cfg, &perf) in batch.into_iter().zip(&performances).take(used) {
+                record(cfg, perf);
             }
         }
     } else {
@@ -545,27 +450,30 @@ fn tune_with_engine(
             engine
                 .observe(performance)
                 .map_err(|e| fail(e.to_string()))?;
-            records.push(TuningRecord::new(&cfg, performance));
+            record(cfg, performance);
         }
     }
-    let (best_cfg, best_perf) = engine
-        .best()
-        .ok_or_else(|| fail("engine made no observations"))?;
+    let outcome = harmony_engines::finish(engine.as_ref(), trace, started);
+    let report = analyze_trace(&outcome.trace, &ReportOptions::default());
 
     let _ = writeln!(out, "engine: {name}");
-    let _ = writeln!(out, "explored {} configurations", records.len());
-    let _ = writeln!(out, "best performance: {best_perf:.4}");
-    for (p, &v) in space.params().iter().zip(best_cfg.values()) {
+    let _ = writeln!(out, "explored {} configurations", outcome.trace.len());
+    let _ = writeln!(out, "best performance: {:.4}", outcome.best_performance);
+    for (p, &v) in space
+        .params()
+        .iter()
+        .zip(outcome.best_configuration.values())
+    {
         let _ = writeln!(out, "  {:<24} = {v}", p.name());
     }
-    let _ = writeln!(out, "converged: {}", engine.converged());
+    let _ = writeln!(
+        out,
+        "convergence at iteration {}; worst dip {:.4}; converged: {}",
+        report.convergence_time, report.worst_performance, outcome.converged
+    );
 
     if let Some(path) = db {
-        database.add_run(RunHistory {
-            label,
-            characteristics,
-            records,
-        });
+        database.add_run(outcome.to_history(label, characteristics));
         database.save(&path).map_err(|e| fail(e.to_string()))?;
         let _ = writeln!(out, "experience saved to {path} ({} runs)", database.len());
     }
@@ -1170,6 +1078,70 @@ mod tests {
         let seq = tune("1");
         let par = tune("4");
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn default_tune_explores_the_simplex_engine_trajectory() {
+        // `tune` without `--engine` is the registry simplex: warm from
+        // the same database, sequential or batched, it explores what
+        // `tune --engine simplex` explores.
+        let rsl = write_rsl("default-simplex.rsl");
+        let dir = std::env::temp_dir().join("harmony-cli-tests");
+        let seed_db = dir.join("default-simplex-seed.json");
+        fs::remove_file(&seed_db).ok();
+        let cmd = "echo $((100 - (HARMONY_B-3)*(HARMONY_B-3) - (HARMONY_C-4)*(HARMONY_C-4)))";
+        let tune = |db: &std::path::Path, label: &str, extra: &[&str]| {
+            let mut args = vec![
+                "tune",
+                rsl.to_str().unwrap(),
+                "--iterations",
+                "30",
+                "--db",
+                db.to_str().unwrap(),
+                "--label",
+                label,
+                "--characteristics",
+                "0.3,0.6",
+            ];
+            args.extend_from_slice(extra);
+            args.extend_from_slice(&["--", "sh", "-c", cmd]);
+            run(parse_args(&sv(&args)).unwrap().command).unwrap()
+        };
+        tune(&seed_db, "seed", &[]);
+        let summary = |out: &str| {
+            out.lines()
+                .filter(|l| {
+                    l.starts_with("explored ")
+                        || l.starts_with("best performance")
+                        || l.starts_with("  ")
+                })
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        for jobs in ["1", "3"] {
+            let mut outs = Vec::new();
+            for (variant, engine) in [
+                ("default", &[][..]),
+                ("simplex", &["--engine", "simplex"][..]),
+            ] {
+                let db = dir.join(format!("default-simplex-{variant}-{jobs}.json"));
+                fs::copy(&seed_db, &db).unwrap();
+                let mut extra = vec!["--jobs", jobs];
+                extra.extend_from_slice(engine);
+                let out = tune(&db, "warm", &extra);
+                fs::remove_file(&db).ok();
+                assert!(out.contains("training from prior run \"seed\""), "{out}");
+                outs.push(out);
+            }
+            assert_eq!(
+                summary(&outs[0]),
+                summary(&outs[1]),
+                "--jobs {jobs}\n--- default\n{}\n--- simplex\n{}",
+                outs[0],
+                outs[1]
+            );
+        }
+        fs::remove_file(&seed_db).ok();
     }
 
     #[test]

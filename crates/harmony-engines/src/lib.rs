@@ -49,6 +49,7 @@ use harmony::history::RunHistory;
 use harmony::report::TraceEntry;
 use harmony_exec::{Executor, MemoCache};
 use harmony_space::{Configuration, ParameterSpace};
+use std::time::Instant;
 
 pub mod divide;
 mod obs;
@@ -173,6 +174,13 @@ pub trait SearchEngine {
     /// Best observation so far.
     fn best(&self) -> Option<(Configuration, f64)>;
 
+    /// Virtual iterations a warm start spent before the first live
+    /// proposal. Only the simplex trains that way; other engines fold
+    /// prior runs in without stepping, and report 0.
+    fn training_iterations(&self) -> usize {
+        0
+    }
+
     /// Seed the engine from a prior run (§4.2 warm start). Must be
     /// called before the first proposal; how the history is used is
     /// engine-specific (seeded simplex, pre-bounded region, pre-resolved
@@ -208,13 +216,28 @@ impl EngineOutcome {
     }
 }
 
-fn finish(engine: &dyn SearchEngine, trace: Vec<TraceEntry>) -> EngineOutcome {
+/// Close a session an engine drove: its outcome over `trace` (every
+/// observation, in order), accounted in the session metrics from
+/// `started`. [`drive`] and [`drive_parallel`] end here, and so does any
+/// caller stepping an engine by hand.
+pub fn finish(
+    engine: &dyn SearchEngine,
+    trace: Vec<TraceEntry>,
+    started: Instant,
+) -> EngineOutcome {
     let (best_configuration, best_performance) = engine
         .best()
         .unwrap_or_else(|| (engine.space().default_configuration(), f64::NEG_INFINITY));
     if engine.converged() {
         obs::converged_iterations().observe(trace.len() as f64);
     }
+    harmony::tuner::record_finish(
+        trace.len(),
+        engine.training_iterations(),
+        best_performance,
+        engine.converged(),
+        started,
+    );
     EngineOutcome {
         engine: engine.name().to_string(),
         trace,
@@ -230,6 +253,7 @@ pub fn drive<F>(engine: &mut dyn SearchEngine, mut eval: F) -> EngineOutcome
 where
     F: FnMut(&Configuration) -> f64,
 {
+    let started = Instant::now();
     let metrics = obs::engine_metrics(engine.name());
     let mut trace = Vec::new();
     while let Some(config) = engine.next_config() {
@@ -245,7 +269,7 @@ where
             performance,
         });
     }
-    finish(engine, trace)
+    finish(engine, trace, started)
 }
 
 /// [`drive`] with batchable phases measured through `executor` and,
@@ -264,6 +288,7 @@ pub fn drive_parallel<F>(
 where
     F: Fn(&Configuration) -> f64 + Sync,
 {
+    let started = Instant::now();
     let metrics = obs::engine_metrics(engine.name());
     let mut trace = Vec::new();
     loop {
@@ -288,5 +313,5 @@ where
             });
         }
     }
-    finish(engine, trace)
+    finish(engine, trace, started)
 }

@@ -19,7 +19,6 @@ const WARM_REPLAY_BUDGET: usize = 10;
 /// The discrete simplex kernel as a [`SearchEngine`].
 #[derive(Debug, Clone)]
 pub struct SimplexEngine {
-    options: TuningOptions,
     simplex: SimplexOptions,
     session: TuningSession,
 }
@@ -37,10 +36,16 @@ impl SimplexEngine {
         options: TuningOptions,
         simplex: SimplexOptions,
     ) -> Self {
-        let session = Tuner::new(space, options.clone()).session_with_options(simplex);
+        let session = Tuner::new(space, options).session_with_options(simplex);
+        SimplexEngine { simplex, session }
+    }
+
+    /// Wrap a session built elsewhere — cold, or already trained on a
+    /// prior run with whatever [`TrainingMode`] its builder chose. The
+    /// engine continues exactly that session's trajectory.
+    pub fn from_session(session: TuningSession) -> Self {
         SimplexEngine {
-            options,
-            simplex,
+            simplex: SimplexOptions::default(),
             session,
         }
     }
@@ -89,6 +94,10 @@ impl SearchEngine for SimplexEngine {
         self.session.best().map(|(c, p)| (c.clone(), p))
     }
 
+    fn training_iterations(&self) -> usize {
+        self.session.training_iterations()
+    }
+
     /// Rebuild the session trained on the prior run (replay mode, same
     /// as the CLI's default §4.2 flow). Discards any live measurements
     /// already observed, so call before the first proposal.
@@ -98,7 +107,7 @@ impl SearchEngine for SimplexEngine {
     /// before custom coefficients could take effect, so a warm start
     /// deliberately does not combine with hyper-tuned coefficients.
     fn warm_start(&mut self, history: &RunHistory) {
-        let tuner = Tuner::new(self.session.space().clone(), self.options.clone());
+        let tuner = Tuner::new(self.session.space().clone(), self.session.options().clone());
         self.session = if history.records.is_empty() {
             tuner.session_with_options(self.simplex)
         } else {

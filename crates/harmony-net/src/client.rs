@@ -618,13 +618,18 @@ impl Client {
     /// the connection is torn down, a backoff sleep taken, the session
     /// re-attached via `Resume`, and the request replayed.
     fn round_trip(&mut self, request: &Request) -> Result<Response, NetError> {
+        // The envelope drains the session's pending spans, so it is built
+        // once per request and resent on every attempt: a frame cut in
+        // flight must not lose the batch (the daemon drops span ids it
+        // already holds).
+        let envelope = self.trace_envelope(request);
         self.with_retries(|client| {
             client.ensure_connected()?;
-            let response = match client.trace_envelope(request) {
+            let response = match &envelope {
                 Some(envelope) => {
                     let ctx = client.trace_context().expect("envelope implies trace");
                     let _rpc = trace::continue_from(ctx, stage::NET_RPC, request.kind());
-                    client.exchange(&envelope)?
+                    client.exchange(envelope)?
                 }
                 None => client.exchange(request)?,
             };

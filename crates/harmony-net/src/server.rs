@@ -9,9 +9,8 @@
 //! thread stack, and requests pipelined on one connection are parsed
 //! while earlier ones execute. The original thread-per-connection model
 //! (one acceptor thread plus one thread per live connection) is kept
-//! behind [`DaemonConfig::threaded`] — the same honest-comparison
-//! pattern as [`DaemonConfig::legacy_lock`] — and remains the fallback
-//! on platforms without `epoll`. Both models refuse connections over
+//! behind [`DaemonConfig::threaded`] as the fallback on platforms
+//! without `epoll`. Both models refuse connections over
 //! [`DaemonConfig::max_connections`] with an in-protocol `Error` rather
 //! than queuing, so a stalled client cannot starve new ones, and both
 //! funnel every request through the same `serve_request` path, so
@@ -31,10 +30,14 @@
 //! write-ahead journal (see [`harmony::history::wal`]) and periodically
 //! folds journal plus snapshot into a fresh whole-file snapshot
 //! (*compaction*). A slow disk therefore delays nothing but the flusher.
-//! The pre-snapshot design (one `RwLock`, synchronous whole-file save on
-//! the request thread) is preserved behind
-//! [`DaemonConfig::legacy_lock`] so `bench_daemon` can measure the
-//! difference.
+//!
+//! Every session is one [`SearchEngine`] driven ask–tell: the paper's
+//! simplex (trained per [`DaemonConfig::training`]) when `SessionStart`
+//! names no engine, or the named registry engine. A session persists
+//! (to the sessions file at shutdown, or to replica peers on every
+//! step) as its inputs plus its observed trace, and a successor
+//! rebuilds the engine and replays the trace through it: engines are
+//! deterministic, so the rebuilt one continues the exact trajectory.
 
 use crate::cluster::{ClusterConfig, ClusterState, TOKEN_DRAWS};
 use crate::codec::{clamp_scratch, write_frame, write_frame_buf_as, WireFormat, READ_CHUNK};
@@ -49,8 +52,8 @@ use harmony::history::{
 };
 use harmony::report::TraceEntry;
 use harmony::sensitivity::SensitivityReport;
-use harmony::tuner::{TrainingMode, Tuner, TuningOptions, TuningSession};
-use harmony_engines::{registry as engines, SearchEngine};
+use harmony::tuner::{TrainingMode, Tuner, TuningOptions};
+use harmony_engines::{registry as engines, SearchEngine, SimplexEngine};
 use harmony_obs::event::{event, Level};
 use harmony_obs::trace::{self, stage, TraceContext};
 use harmony_space::{parse_rsl, Configuration, ParameterSpace};
@@ -92,21 +95,13 @@ pub struct DaemonConfig {
     pub training: TrainingMode,
     /// Classification mechanism and match gate.
     pub analyzer: DataAnalyzer,
-    /// Legacy mode only: persist the database after every N completed
-    /// sessions. The snapshot path persists via the journal instead.
-    pub save_every: usize,
     /// Fold journal + snapshot into a fresh snapshot after this many
     /// journal appends (0 compacts only at shutdown).
     pub compact_every: usize,
-    /// Run the pre-snapshot scheme: one `RwLock` around the database and
-    /// synchronous whole-file persistence on the request thread. Kept so
-    /// `bench_daemon --legacy-lock` can measure the old behavior.
-    pub legacy_lock: bool,
     /// Serve with the original thread-per-connection model instead of
-    /// the event-driven reactor. Kept (like `legacy_lock`) so
-    /// `bench_c10k --threaded` can measure the difference honestly; also
-    /// the forced fallback on platforms without `epoll`. Protocol
-    /// behavior is identical either way.
+    /// the event-driven reactor: the forced fallback on platforms
+    /// without `epoll`, and what `bench_c10k --threaded` measures the
+    /// reactor against. Protocol behavior is identical either way.
     pub threaded: bool,
     /// Name reported in the `Hello` exchange.
     pub server_name: String,
@@ -189,12 +184,6 @@ impl DaemonConfigBuilder {
         self
     }
 
-    /// Serve with the pre-snapshot `RwLock` scheme.
-    pub fn legacy_lock(mut self, on: bool) -> Self {
-        self.config.legacy_lock = on;
-        self
-    }
-
     /// Serve thread-per-connection instead of the epoll reactor.
     pub fn threaded(mut self, on: bool) -> Self {
         self.config.threaded = on;
@@ -256,9 +245,7 @@ impl Default for DaemonConfig {
             tuning: TuningOptions::improved(),
             training: TrainingMode::Replay(12),
             analyzer: DataAnalyzer::new(),
-            save_every: 1,
             compact_every: 64,
-            legacy_lock: false,
             threaded: false,
             server_name: "harmony-net".into(),
             session_ttl: Duration::from_secs(30),
@@ -363,18 +350,6 @@ impl DbCell {
         crate::obs::db_snapshot_swaps_total().inc();
         len
     }
-}
-
-enum Backend {
-    /// Atomic snapshots + background flusher (the default).
-    Snapshot {
-        cell: DbCell,
-        /// Hands recorded runs to the flusher; `None` when nothing
-        /// persists. Taking it closes the channel and stops the flusher.
-        tx: Mutex<Option<mpsc::Sender<RunHistory>>>,
-    },
-    /// Pre-snapshot scheme: lock-per-request reads, synchronous saves.
-    Legacy(RwLock<ExperienceDb>),
 }
 
 /// A disconnected session waiting for its client to [`Request::Resume`].
@@ -511,7 +486,10 @@ impl SessionRegistry {
 
 pub(crate) struct Shared {
     pub(crate) config: DaemonConfig,
-    backend: Backend,
+    db: DbCell,
+    /// Hands recorded runs to the flusher; `None` when nothing persists.
+    /// Taking it closes the channel and stops the flusher.
+    flush: Mutex<Option<mpsc::Sender<RunHistory>>>,
     pub(crate) registry: SessionRegistry,
     pub(crate) active: AtomicUsize,
     completed: AtomicUsize,
@@ -529,37 +507,20 @@ pub(crate) struct Shared {
 impl Shared {
     /// Classify `observed` against the shared experience (§4.2).
     fn select_prior(&self, observed: &[f64]) -> Option<RunHistory> {
-        match &self.backend {
-            Backend::Snapshot { cell, .. } => {
-                let snap = cell.load();
-                self.config
-                    .analyzer
-                    .select_with(&snap.db, Some(&snap.index), observed)
-            }
-            Backend::Legacy(lock) => {
-                let db = lock.read().expect("db lock poisoned");
-                self.config.analyzer.select(&db, observed)
-            }
-        }
+        let snap = self.db.load();
+        self.config
+            .analyzer
+            .select_with(&snap.db, Some(&snap.index), observed)
     }
 
-    /// Fold a recorded run into the shared database (and, in snapshot
-    /// mode, queue it for the flusher).
+    /// Fold a recorded run into the shared database and queue it for the
+    /// flusher.
     fn record_run(&self, run: RunHistory) {
-        match &self.backend {
-            Backend::Snapshot { cell, tx } => {
-                let len = cell.add_run(run.clone());
-                crate::obs::db_runs().set(len as i64);
-                if let Some(tx) = tx.lock().expect("flusher sender poisoned").as_ref() {
-                    // A dead flusher only costs durability, not serving.
-                    let _ = tx.send(run);
-                }
-            }
-            Backend::Legacy(lock) => {
-                let mut db = lock.write().expect("db lock poisoned");
-                db.add_run(run);
-                crate::obs::db_runs().set(db.len() as i64);
-            }
+        let len = self.db.add_run(run.clone());
+        crate::obs::db_runs().set(len as i64);
+        if let Some(tx) = self.flush.lock().expect("flusher sender poisoned").as_ref() {
+            // A dead flusher only costs durability, not serving.
+            let _ = tx.send(run);
         }
     }
 
@@ -604,47 +565,18 @@ impl Shared {
     }
 
     fn run_summaries(&self) -> Vec<RunSummary> {
-        let summarize = |db: &ExperienceDb| {
-            db.runs()
-                .iter()
-                .map(|run| RunSummary {
-                    label: run.label.clone(),
-                    characteristics: run.characteristics.clone(),
-                    records: run.records.len(),
-                    best_performance: run.best().map(|r| r.performance),
-                })
-                .collect()
-        };
-        match &self.backend {
-            Backend::Snapshot { cell, .. } => summarize(&cell.load().db),
-            Backend::Legacy(lock) => summarize(&lock.read().expect("db lock poisoned")),
-        }
-    }
-
-    fn db_len(&self) -> usize {
-        match &self.backend {
-            Backend::Snapshot { cell, .. } => cell.load().db.len(),
-            Backend::Legacy(lock) => lock.read().expect("db lock poisoned").len(),
-        }
-    }
-
-    /// Legacy mode: write the database to its configured path, logging
-    /// (not propagating) failures — persistence must never take down
-    /// serving.
-    fn persist_legacy(&self) {
-        let Backend::Legacy(lock) = &self.backend else {
-            return;
-        };
-        if let Some(path) = &self.config.db_path {
-            let db = lock.read().expect("db lock poisoned");
-            if let Err(e) = db.save(path) {
-                crate::obs::db_persist_failures_total().inc();
-                event(Level::Error, "net.db_persist_failed")
-                    .str("path", path.display().to_string())
-                    .str("error", e.to_string())
-                    .emit();
-            }
-        }
+        self.db
+            .load()
+            .db
+            .runs()
+            .iter()
+            .map(|run| RunSummary {
+                label: run.label.clone(),
+                characteristics: run.characteristics.clone(),
+                records: run.records.len(),
+                best_performance: run.best().map(|r| r.performance),
+            })
+            .collect()
     }
 }
 
@@ -664,154 +596,54 @@ fn sessions_path(db_path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// One parked session as written to the sessions file and shipped
-/// between peers: everything a successor daemon needs to continue the
-/// exact trajectory.
-///
-/// Exactly one of `session` (the default simplex kernel, serialized
-/// whole) and `engine` (a registry engine, rebuilt by replay) is
-/// present. Serde layers `Option` transparently, so pre-cluster
-/// sessions files — which wrote the `TuningSession` unwrapped — load
-/// unchanged, and simplex sessions written by this version still load
-/// on the old code.
+/// One session as written to the sessions file and shipped between
+/// peers: the inputs its engine was built from plus every observation
+/// so far. A successor rebuilds the engine from the inputs and replays
+/// the trace through it ([`ActiveSession::revive`]); engines are
+/// deterministic, so the rebuilt one continues the exact trajectory and
+/// re-proposes any configuration the client was measuring.
 #[derive(Serialize, Deserialize)]
 struct PersistedSession {
     token: String,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    session: Option<TuningSession>,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    engine: Option<EngineSessionState>,
+    /// Registry engine name; `None` is the daemon's own simplex.
+    engine: Option<String>,
+    space: ParameterSpace,
+    budget: usize,
+    trace: Vec<TraceEntry>,
     label: String,
     characteristics: Vec<f64>,
     prior: Option<RunHistory>,
     next_seq: u64,
 }
 
-/// A registry engine's resumable state. Engines are not serializable
-/// themselves; instead the successor rebuilds one — same registry
-/// entry, same [`engines::DEFAULT_SEED`], same warm start — and
-/// replays the recorded trace through it. Engines are deterministic,
-/// so the rebuilt engine continues the exact trajectory the original
-/// would have produced.
-#[derive(Serialize, Deserialize)]
-struct EngineSessionState {
-    name: String,
-    space: ParameterSpace,
-    budget: usize,
-    trace: Vec<TraceEntry>,
-}
-
-impl EngineSessionState {
-    fn rebuild(self, prior: Option<&RunHistory>) -> Result<EngineSession, String> {
-        let EngineSessionState {
-            name,
-            space,
-            budget,
-            trace,
-        } = self;
-        let spec = engines::lookup(&name).map_err(|e| e.to_string())?;
-        let mut engine = spec.build(space, budget, engines::DEFAULT_SEED);
-        if let Some(run) = prior {
-            engine.warm_start(run);
-        }
-        for entry in &trace {
-            if engine.next_config().is_none() {
-                break;
-            }
-            engine
-                .observe(entry.performance)
-                .map_err(|e| e.to_string())?;
-        }
-        Ok(EngineSession {
-            name,
-            engine,
-            budget,
-            trace,
-            pending: None,
-        })
-    }
-}
-
 /// Borrowed mirror of [`PersistedSession`] (field-for-field, so it
 /// serializes to the identical JSON): lets the owner snapshot a live
-/// session for shipping without cloning the kernel. Serialized by hand
+/// session without cloning its trace and prior run. Serialized by hand
 /// because the vendored `serde_derive` cannot expand lifetime-generic
 /// structs.
 struct PersistedSessionRef<'a> {
     token: &'a str,
-    session: Option<&'a TuningSession>,
-    engine: Option<EngineSessionStateRef<'a>>,
-    label: &'a str,
-    characteristics: &'a [f64],
-    prior: &'a Option<RunHistory>,
-    next_seq: u64,
+    sess: &'a ActiveSession,
 }
 
 impl Serialize for PersistedSessionRef<'_> {
     fn to_value(&self) -> serde::Value {
+        let sess = self.sess;
         let mut m = serde::Map::new();
         m.insert("token".to_string(), self.token.to_value());
-        if let Some(session) = self.session {
-            m.insert("session".to_string(), session.to_value());
-        }
-        if let Some(engine) = &self.engine {
-            m.insert("engine".to_string(), engine.to_value());
-        }
-        m.insert("label".to_string(), self.label.to_value());
+        m.insert("engine".to_string(), sess.engine_name.to_value());
+        m.insert("space".to_string(), sess.engine.space().to_value());
+        m.insert("budget".to_string(), sess.budget.to_value());
+        m.insert("trace".to_string(), sess.trace.to_value());
+        m.insert("label".to_string(), sess.label.to_value());
         m.insert(
             "characteristics".to_string(),
-            self.characteristics.to_value(),
+            sess.characteristics.to_value(),
         );
-        m.insert("prior".to_string(), self.prior.to_value());
-        m.insert("next_seq".to_string(), self.next_seq.to_value());
+        m.insert("prior".to_string(), sess.prior.to_value());
+        m.insert("next_seq".to_string(), sess.next_seq.to_value());
         serde::Value::Object(m)
     }
-}
-
-/// Borrowed mirror of [`EngineSessionState`].
-struct EngineSessionStateRef<'a> {
-    name: &'a str,
-    space: &'a ParameterSpace,
-    budget: usize,
-    trace: &'a [TraceEntry],
-}
-
-impl Serialize for EngineSessionStateRef<'_> {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("name".to_string(), self.name.to_value());
-        m.insert("space".to_string(), self.space.to_value());
-        m.insert("budget".to_string(), self.budget.to_value());
-        m.insert("trace".to_string(), self.trace.to_value());
-        serde::Value::Object(m)
-    }
-}
-
-/// Rebuild a live session from a persisted snapshot — the sessions
-/// file a predecessor wrote, or a peer-shipped replica being adopted.
-fn revive_persisted(p: PersistedSession) -> Result<ActiveSession, String> {
-    let PersistedSession {
-        token,
-        session,
-        engine,
-        label,
-        characteristics,
-        prior,
-        next_seq,
-    } = p;
-    let kernel = match (session, engine) {
-        (Some(session), _) => SessionKernel::Simplex(session),
-        (None, Some(state)) => SessionKernel::Engine(state.rebuild(prior.as_ref())?),
-        (None, None) => return Err("session snapshot names no kernel".into()),
-    };
-    Ok(ActiveSession {
-        kernel,
-        label,
-        characteristics,
-        prior,
-        token: Some(token),
-        next_seq,
-    })
 }
 
 /// Replicate a live session's current state to the token's replica
@@ -822,34 +654,14 @@ fn ship_snapshot(shared: &Shared, sess: &ActiveSession) {
     let (Some(cluster), Some(token)) = (&shared.cluster, &sess.token) else {
         return;
     };
-    let snapshot = PersistedSessionRef {
-        token,
-        session: match &sess.kernel {
-            SessionKernel::Simplex(session) => Some(session),
-            SessionKernel::Engine(_) => None,
-        },
-        engine: match &sess.kernel {
-            SessionKernel::Simplex(_) => None,
-            SessionKernel::Engine(e) => Some(EngineSessionStateRef {
-                name: &e.name,
-                space: e.engine.space(),
-                budget: e.budget,
-                trace: &e.trace,
-            }),
-        },
-        label: &sess.label,
-        characteristics: &sess.characteristics,
-        prior: &sess.prior,
-        next_seq: sess.next_seq,
-    };
-    if let Ok(text) = serde_json::to_string(&snapshot) {
+    if let Ok(text) = serde_json::to_string(&PersistedSessionRef { token, sess }) {
         cluster.ship_session(token, &text);
     }
 }
 
 /// Load (and remove) the sessions file a predecessor left behind,
 /// parking its sessions for `Resume`.
-fn load_parked_sessions(registry: &SessionRegistry, db_path: &Path) {
+fn load_parked_sessions(registry: &SessionRegistry, config: &DaemonConfig, db_path: &Path) {
     let path = sessions_path(db_path);
     let Ok(text) = std::fs::read_to_string(&path) else {
         return;
@@ -870,7 +682,7 @@ fn load_parked_sessions(registry: &SessionRegistry, db_path: &Path) {
     let mut count = 0u64;
     for p in loaded {
         let token = p.token.clone();
-        match revive_persisted(p) {
+        match ActiveSession::revive(p, config) {
             Ok(sess) => {
                 registry.park(token, sess);
                 count += 1;
@@ -896,9 +708,6 @@ impl TuningDaemon {
     /// Bind, load any persisted experience (snapshot plus journal), and
     /// start serving.
     pub fn start(config: DaemonConfig) -> Result<DaemonHandle, NetError> {
-        if config.legacy_lock {
-            return Self::start_legacy(config);
-        }
         let sink = match &config.db_path {
             Some(path) => {
                 let journal = effective_wal_path(&config, path);
@@ -908,7 +717,7 @@ impl TuningDaemon {
             }
             None => None,
         };
-        Self::start_snapshot(config, sink)
+        Self::launch(config, sink)
     }
 
     /// [`start`](Self::start) with a caller-provided persistence sink —
@@ -917,10 +726,10 @@ impl TuningDaemon {
         config: DaemonConfig,
         sink: Box<dyn DbSink>,
     ) -> Result<DaemonHandle, NetError> {
-        Self::start_snapshot(config, Some(sink))
+        Self::launch(config, Some(sink))
     }
 
-    fn start_snapshot(
+    fn launch(
         config: DaemonConfig,
         sink: Option<Box<dyn DbSink>>,
     ) -> Result<DaemonHandle, NetError> {
@@ -942,7 +751,6 @@ impl TuningDaemon {
         event(Level::Info, "net.daemon_start")
             .str("addr", addr.to_string())
             .u64("db_runs", db.len() as u64)
-            .bool("legacy_lock", false)
             .bool("threaded", config.threaded)
             .emit();
         let (tx, rx) = match sink {
@@ -954,15 +762,13 @@ impl TuningDaemon {
         };
         let registry = SessionRegistry::new();
         if let Some(path) = &config.db_path {
-            load_parked_sessions(&registry, path);
+            load_parked_sessions(&registry, &config, path);
         }
         let cluster = build_cluster(&config)?;
         let shared = Arc::new(Shared {
             config,
-            backend: Backend::Snapshot {
-                cell: DbCell::new(db),
-                tx: Mutex::new(tx),
-            },
+            db: DbCell::new(db),
+            flush: Mutex::new(tx),
             registry,
             active: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
@@ -991,55 +797,6 @@ impl TuningDaemon {
             reaper: Some(reaper),
         })
     }
-
-    fn start_legacy(config: DaemonConfig) -> Result<DaemonHandle, NetError> {
-        let db = match &config.db_path {
-            Some(path) if path.exists() => ExperienceDb::load(path)
-                .map_err(|e| NetError::Protocol(format!("cannot load experience db: {e}")))?,
-            _ => ExperienceDb::new(),
-        };
-        let listener = TcpListener::bind(&config.listen)?;
-        let addr = listener.local_addr()?;
-        crate::obs::preregister();
-        if config.tracing && !trace::is_enabled() {
-            trace::enable(trace::RecorderConfig::default());
-        }
-        crate::obs::db_runs().set(db.len() as i64);
-        event(Level::Info, "net.daemon_start")
-            .str("addr", addr.to_string())
-            .u64("db_runs", db.len() as u64)
-            .bool("legacy_lock", true)
-            .bool("threaded", config.threaded)
-            .emit();
-        let registry = SessionRegistry::new();
-        if let Some(path) = &config.db_path {
-            load_parked_sessions(&registry, path);
-        }
-        let cluster = build_cluster(&config)?;
-        let shared = Arc::new(Shared {
-            config,
-            backend: Backend::Legacy(RwLock::new(db)),
-            registry,
-            active: AtomicUsize::new(0),
-            completed: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            cluster,
-            replicas: Mutex::new(HashMap::new()),
-        });
-        let reaper = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || reaper_loop(&shared))
-        };
-        let acceptor = spawn_serving_loop(listener, Arc::clone(&shared));
-        Ok(DaemonHandle {
-            addr,
-            shared,
-            acceptor: Some(acceptor),
-            flusher: None,
-            reaper: Some(reaper),
-        })
-    }
 }
 
 /// Validate and build the cluster state a config asks for.
@@ -1062,9 +819,9 @@ fn reaper_loop(shared: &Arc<Shared>) {
             crate::obs::sessions_abandoned_total().inc();
             event(Level::Warn, "net.session_ttl_expired")
                 .str("label", &sess.label)
-                .u64("iterations", sess.kernel.iterations() as u64)
+                .u64("iterations", sess.iterations() as u64)
                 .emit();
-            if sess.kernel.iterations() > 0 {
+            if sess.iterations() > 0 {
                 record_session(sess, shared);
             }
         }
@@ -1093,7 +850,7 @@ impl DaemonHandle {
 
     /// Runs currently in the shared experience database.
     pub fn db_runs(&self) -> usize {
-        self.shared.db_len()
+        self.shared.db.load().db.len()
     }
 
     /// Enter drain mode without stopping: new connections and
@@ -1116,7 +873,7 @@ impl DaemonHandle {
     }
 
     /// Stop accepting, wait for connection threads, persist the
-    /// database (in snapshot mode: drain the flusher and compact), and
+    /// database (drain the flusher and compact), and
     /// write parked resumable sessions to the sessions file next to the
     /// database so a successor daemon can honor their tokens.
     pub fn shutdown(mut self) {
@@ -1140,17 +897,16 @@ impl DaemonHandle {
         // before the flusher compacts, so a run recorded here still
         // reaches the snapshot file.
         persist_parked(&self.shared);
-        match &self.shared.backend {
-            Backend::Snapshot { tx, .. } => {
-                // Closing the channel ends the flusher loop; it drains
-                // queued runs and compacts once more on the way out, so
-                // the snapshot file alone holds the full database.
-                tx.lock().expect("flusher sender poisoned").take();
-                if let Some(flusher) = self.flusher.take() {
-                    let _ = flusher.join();
-                }
-            }
-            Backend::Legacy(_) => self.shared.persist_legacy(),
+        // Closing the channel ends the flusher loop; it drains queued
+        // runs and compacts once more on the way out, so the snapshot
+        // file alone holds the full database.
+        self.shared
+            .flush
+            .lock()
+            .expect("flusher sender poisoned")
+            .take();
+        if let Some(flusher) = self.flusher.take() {
+            let _ = flusher.join();
         }
         event(Level::Info, "net.daemon_shutdown")
             .str("addr", self.addr.to_string())
@@ -1172,31 +928,9 @@ fn persist_parked(shared: &Arc<Shared>) {
         return;
     }
     if let Some(db_path) = &shared.config.db_path {
-        let persisted: Vec<PersistedSession> = parked
-            .into_iter()
-            .map(|(token, sess)| {
-                let (session, engine) = match sess.kernel {
-                    SessionKernel::Simplex(session) => (Some(session), None),
-                    SessionKernel::Engine(e) => (
-                        None,
-                        Some(EngineSessionState {
-                            name: e.name,
-                            space: e.engine.space().clone(),
-                            budget: e.budget,
-                            trace: e.trace,
-                        }),
-                    ),
-                };
-                PersistedSession {
-                    token,
-                    session,
-                    engine,
-                    label: sess.label,
-                    characteristics: sess.characteristics,
-                    prior: sess.prior,
-                    next_seq: sess.next_seq,
-                }
-            })
+        let persisted: Vec<PersistedSessionRef> = parked
+            .iter()
+            .map(|(token, sess)| PersistedSessionRef { token, sess })
             .collect();
         let path = sessions_path(db_path);
         let write = serde_json::to_string(&persisted)
@@ -1218,7 +952,7 @@ fn persist_parked(shared: &Arc<Shared>) {
     } else {
         for (_, sess) in parked {
             crate::obs::sessions_abandoned_total().inc();
-            if sess.kernel.iterations() > 0 {
+            if sess.iterations() > 0 {
                 record_session(sess, shared);
             }
         }
@@ -1264,11 +998,7 @@ fn flusher_loop(rx: mpsc::Receiver<RunHistory>, mut sink: Box<dyn DbSink>, share
 }
 
 fn compact_now(shared: &Shared, sink: &mut dyn DbSink) {
-    let Backend::Snapshot { cell, .. } = &shared.backend else {
-        return;
-    };
-    let snap = cell.load();
-    if let Err(e) = sink.compact(&snap.db) {
+    if let Err(e) = sink.compact(&shared.db.load().db) {
         persist_failure("net.db_compact_failed", &e);
     }
 }
@@ -1354,25 +1084,52 @@ fn linger_close(mut stream: TcpStream, timeout: Duration) {
     while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
-/// The search driving one session: the paper's simplex tuner (the
-/// default and the only kernel pre-engine clients can reach) or any
-/// engine from the `harmony-engines` registry, named by
-/// `SessionStart::engine`. Both faces answer the same ask–tell surface,
-/// so every request handler is kernel-agnostic.
-#[allow(clippy::large_enum_variant)] // simplex is the hot default; boxing it buys nothing
-pub(crate) enum SessionKernel {
-    /// The default simplex [`TuningSession`] (serializable whole).
-    Simplex(TuningSession),
-    /// A registry engine plus the bookkeeping that makes it resumable.
-    Engine(EngineSession),
+/// Build the search a session runs — the one constructor behind both
+/// `SessionStart` and revival. No `engine` name is the paper's simplex
+/// exactly as the daemon is configured: [`DaemonConfig::tuning`] with
+/// the session's budget, trained on the matched prior run per
+/// [`DaemonConfig::training`] (§4.2). A name builds that registry
+/// engine with the shared [`engines::DEFAULT_SEED`] and warm-starts it
+/// from the prior run.
+fn build_engine(
+    config: &DaemonConfig,
+    engine: Option<&str>,
+    space: ParameterSpace,
+    budget: usize,
+    prior: Option<&RunHistory>,
+) -> Result<Box<dyn SearchEngine + Send>, String> {
+    let warm_span = |history: &RunHistory| trace::child(stage::WARM_START, &history.label);
+    match engine {
+        None => {
+            let tuner = Tuner::new(space, config.tuning.clone().with_max_iterations(budget));
+            let session = match prior {
+                Some(history) => {
+                    let _span = warm_span(history);
+                    tuner.session_trained(history, config.training)
+                }
+                None => tuner.session(),
+            };
+            Ok(Box::new(SimplexEngine::from_session(session)))
+        }
+        Some(name) => {
+            let spec = engines::lookup(name).map_err(|e| e.to_string())?;
+            let mut engine = spec.build(space, budget, engines::DEFAULT_SEED);
+            if let Some(history) = prior {
+                let _span = warm_span(history);
+                engine.warm_start(history);
+            }
+            Ok(engine)
+        }
+    }
 }
 
-/// A registry engine driven over the wire. Engines do not serialize;
-/// the recorded `trace` doubles as the replay script that rebuilds one
-/// after a restart or failover (see [`EngineSessionState::rebuild`]).
-pub(crate) struct EngineSession {
-    name: String,
+/// One tuning session: the engine driving it plus what makes it
+/// resumable and recordable.
+pub(crate) struct ActiveSession {
     engine: Box<dyn SearchEngine + Send>,
+    /// The registry name `SessionStart` asked for (`None`: the daemon's
+    /// own simplex), kept so a successor rebuilds the same engine.
+    engine_name: Option<String>,
     budget: usize,
     /// Every observation in order — the live trace and, persisted, the
     /// rebuild-by-replay script.
@@ -1380,118 +1137,12 @@ pub(crate) struct EngineSession {
     /// The outstanding proposal, so `observe` records the configuration
     /// that was actually measured.
     pending: Option<Configuration>,
-}
-
-impl SessionKernel {
-    fn next_config(&mut self) -> Option<Configuration> {
-        match self {
-            SessionKernel::Simplex(s) => s.next_config(),
-            SessionKernel::Engine(e) => {
-                let cfg = e.engine.next_config();
-                e.pending.clone_from(&cfg);
-                cfg
-            }
-        }
-    }
-
-    fn observe(&mut self, performance: f64) -> Result<(), String> {
-        match self {
-            SessionKernel::Simplex(s) => s.observe(performance).map_err(|e| e.to_string()),
-            SessionKernel::Engine(e) => {
-                // A rebuilt engine has no outstanding proposal when the
-                // client's retried `Report` arrives; the ask is
-                // idempotent, so proposing here recovers exactly the
-                // configuration the client measured.
-                let config = match e.pending.take().or_else(|| e.engine.next_config()) {
-                    Some(config) => config,
-                    None => return Err("no pending configuration to observe".into()),
-                };
-                e.engine
-                    .observe(performance)
-                    .map_err(|err| err.to_string())?;
-                e.trace.push(TraceEntry {
-                    iteration: e.trace.len(),
-                    config,
-                    performance,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn iterations(&self) -> usize {
-        match self {
-            SessionKernel::Simplex(s) => s.iterations(),
-            SessionKernel::Engine(e) => e.trace.len(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            SessionKernel::Simplex(s) => s.is_done(),
-            SessionKernel::Engine(e) => e.engine.is_done(),
-        }
-    }
-
-    fn space(&self) -> &ParameterSpace {
-        match self {
-            SessionKernel::Simplex(s) => s.space(),
-            SessionKernel::Engine(e) => e.engine.space(),
-        }
-    }
-
-    fn trace(&self) -> &[TraceEntry] {
-        match self {
-            SessionKernel::Simplex(s) => s.trace(),
-            SessionKernel::Engine(e) => &e.trace,
-        }
-    }
-
-    /// Virtual training iterations (engines train inside `warm_start`;
-    /// only the simplex kernel reports a count).
-    fn training_iterations(&self) -> usize {
-        match self {
-            SessionKernel::Simplex(s) => s.training_iterations(),
-            SessionKernel::Engine(_) => 0,
-        }
-    }
-
-    /// Finish the search and produce the unified outcome shape.
-    fn finish(self) -> harmony_engines::EngineOutcome {
-        match self {
-            SessionKernel::Simplex(s) => {
-                let outcome = s.finish();
-                harmony_engines::EngineOutcome {
-                    engine: "simplex".into(),
-                    trace: outcome.trace,
-                    best_configuration: outcome.best_configuration,
-                    best_performance: outcome.best_performance,
-                    converged: outcome.converged,
-                }
-            }
-            SessionKernel::Engine(e) => {
-                let (best_configuration, best_performance) = e.engine.best().unwrap_or_else(|| {
-                    (e.engine.space().default_configuration(), f64::NEG_INFINITY)
-                });
-                harmony_engines::EngineOutcome {
-                    engine: e.name,
-                    trace: e.trace,
-                    best_configuration,
-                    best_performance,
-                    converged: e.engine.converged(),
-                }
-            }
-        }
-    }
-}
-
-/// Per-connection session state.
-pub(crate) struct ActiveSession {
-    pub(crate) kernel: SessionKernel,
+    /// When this daemon took the session on, for the wall-time metric.
+    started: Instant,
     pub(crate) label: String,
     characteristics: Vec<f64>,
     /// The prior run selected at `SessionStart`, kept for `Sensitivity`
-    /// and for rebuilding an engine's warm start after a failover.
+    /// and for rebuilding the engine's warm start after a failover.
     prior: Option<RunHistory>,
     /// Resume token, issued on protocol ≥ 2 connections. A tokened
     /// session parks on disconnect instead of being abandoned.
@@ -1499,6 +1150,87 @@ pub(crate) struct ActiveSession {
     /// The next `Report` sequence number accepted; everything below it
     /// was already observed and a replay answers `Reported` unchanged.
     next_seq: u64,
+}
+
+impl ActiveSession {
+    /// Rebuild a live session from a persisted snapshot — the sessions
+    /// file a predecessor wrote, or a peer-shipped replica being
+    /// adopted — by replaying its trace through a freshly built engine.
+    fn revive(p: PersistedSession, config: &DaemonConfig) -> Result<ActiveSession, String> {
+        let PersistedSession {
+            token,
+            engine: engine_name,
+            space,
+            budget,
+            trace,
+            label,
+            characteristics,
+            prior,
+            next_seq,
+        } = p;
+        let mut engine = build_engine(
+            config,
+            engine_name.as_deref(),
+            space,
+            budget,
+            prior.as_ref(),
+        )?;
+        for entry in &trace {
+            if engine.next_config().as_ref() != Some(&entry.config) {
+                return Err(format!(
+                    "replay diverged at iteration {}: the rebuilt engine proposes \
+                     differently (daemon options changed?)",
+                    entry.iteration
+                ));
+            }
+            engine
+                .observe(entry.performance)
+                .map_err(|e| e.to_string())?;
+        }
+        // The client may have fetched the next proposal before the
+        // predecessor died; asking now re-proposes it, so the retried
+        // `Report` observes exactly what the client measured.
+        let pending = engine.next_config();
+        Ok(ActiveSession {
+            engine,
+            engine_name,
+            budget,
+            trace,
+            pending,
+            started: Instant::now(),
+            label,
+            characteristics,
+            prior,
+            token: Some(token),
+            next_seq,
+        })
+    }
+
+    fn next_config(&mut self) -> Option<Configuration> {
+        let cfg = self.engine.next_config();
+        self.pending.clone_from(&cfg);
+        cfg
+    }
+
+    fn observe(&mut self, performance: f64) -> Result<(), String> {
+        let config = self
+            .pending
+            .take()
+            .ok_or("no pending configuration to observe: send Fetch first")?;
+        self.engine
+            .observe(performance)
+            .map_err(|e| e.to_string())?;
+        self.trace.push(TraceEntry {
+            iteration: self.trace.len(),
+            config,
+            performance,
+        });
+        Ok(())
+    }
+
+    pub(crate) fn iterations(&self) -> usize {
+        self.trace.len()
+    }
 }
 
 /// Per-connection protocol state: the live session plus what `Hello`
@@ -1598,7 +1330,7 @@ pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
             Some(token) => {
                 event(Level::Info, "net.session_parked")
                     .str("label", &sess.label)
-                    .u64("iterations", sess.kernel.iterations() as u64)
+                    .u64("iterations", sess.iterations() as u64)
                     .emit();
                 shared.registry.park(token, sess);
             }
@@ -1608,9 +1340,9 @@ pub(crate) fn finish_connection(conn: &mut ConnState, shared: &Shared) {
                 crate::obs::sessions_abandoned_total().inc();
                 event(Level::Warn, "net.session_abandoned")
                     .str("label", &sess.label)
-                    .u64("iterations", sess.kernel.iterations() as u64)
+                    .u64("iterations", sess.iterations() as u64)
                     .emit();
-                if sess.kernel.iterations() > 0 {
+                if sess.iterations() > 0 {
                     record_session(sess, shared);
                 }
             }
@@ -1806,17 +1538,13 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 Ok(s) => s,
                 Err(message) => return Response::Error { message },
             };
-            let engine_spec = match &engine {
-                Some(name) => match engines::lookup(name) {
-                    Ok(spec) => Some(spec),
-                    Err(e) => {
-                        return Response::Error {
-                            message: e.to_string(),
-                        }
-                    }
-                },
-                None => None,
-            };
+            if let Some(name) = &engine {
+                if let Err(e) = engines::lookup(name) {
+                    return Response::Error {
+                        message: e.to_string(),
+                    };
+                }
+            }
             // Classify the observed characteristics against everyone's
             // prior experience (§4.2). A match whose space shape differs
             // from this session's cannot seed the search — skip it.
@@ -1831,36 +1559,16 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
             } else {
                 crate::obs::warm_start_misses_total().inc();
             }
-            let kernel = match engine_spec {
-                Some(spec) => {
-                    let budget = max_iterations.unwrap_or(shared.config.tuning.max_iterations);
-                    let mut engine = spec.build(space, budget, engines::DEFAULT_SEED);
-                    if let Some(history) = &prior {
-                        let _span = trace::child(stage::WARM_START, &history.label);
-                        engine.warm_start(history);
-                    }
-                    SessionKernel::Engine(EngineSession {
-                        name: spec.name().to_string(),
-                        engine,
-                        budget,
-                        trace: Vec::new(),
-                        pending: None,
-                    })
-                }
-                None => {
-                    let mut options = shared.config.tuning.clone();
-                    if let Some(n) = max_iterations {
-                        options = options.with_max_iterations(n);
-                    }
-                    let tuner = Tuner::new(space, options);
-                    SessionKernel::Simplex(match &prior {
-                        Some(history) => {
-                            let _span = trace::child(stage::WARM_START, &history.label);
-                            tuner.session_trained(history, shared.config.training)
-                        }
-                        None => tuner.session(),
-                    })
-                }
+            let budget = max_iterations.unwrap_or(shared.config.tuning.max_iterations);
+            let built = match build_engine(
+                &shared.config,
+                engine.as_deref(),
+                space,
+                budget,
+                prior.as_ref(),
+            ) {
+                Ok(built) => built,
+                Err(message) => return Response::Error { message },
             };
             let token = (conn.version >= 2).then(|| issue_self_owned_token(shared));
             crate::obs::sessions_started_total().inc();
@@ -1868,25 +1576,28 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 .str("label", &label)
                 .str("engine", engine.as_deref().unwrap_or("simplex"))
                 .bool("warm_start", prior.is_some())
-                .u64("training_iterations", kernel.training_iterations() as u64)
+                .u64("training_iterations", built.training_iterations() as u64)
                 .emit();
             let response = Response::SessionStarted {
-                space: kernel.space().clone(),
+                space: built.space().clone(),
                 trained_from: prior.as_ref().map(|r| r.label.clone()),
-                training_iterations: kernel.training_iterations(),
+                training_iterations: built.training_iterations(),
                 session_token: token.clone(),
             };
-            *active = Some(ActiveSession {
-                kernel,
+            let sess = active.insert(ActiveSession {
+                engine: built,
+                engine_name: engine,
+                budget,
+                trace: Vec::new(),
+                pending: None,
+                started: Instant::now(),
                 label,
                 characteristics,
                 prior,
                 token,
                 next_seq: 0,
             });
-            if let Some(sess) = active.as_ref() {
-                ship_snapshot(shared, sess);
-            }
+            ship_snapshot(shared, sess);
             response
         }
         Request::Resume { token } => {
@@ -1910,12 +1621,12 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                     crate::obs::resumes_total().inc();
                     event(Level::Info, "net.session_resumed")
                         .str("label", &sess.label)
-                        .u64("iterations", sess.kernel.iterations() as u64)
+                        .u64("iterations", sess.iterations() as u64)
                         .emit();
                     let response = Response::Resumed {
-                        iteration: sess.kernel.iterations(),
+                        iteration: sess.iterations(),
                         next_seq: sess.next_seq,
-                        done: sess.kernel.is_done(),
+                        done: sess.engine.is_done(),
                     };
                     *active = Some(sess);
                     return response;
@@ -1940,18 +1651,18 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 // and only a complete miss can redirect, so a session
                 // can never be served from two places.
                 if let Some(persisted) = shared.adopt_replica(&token) {
-                    return match revive_persisted(persisted) {
+                    return match ActiveSession::revive(persisted, &shared.config) {
                         Ok(sess) => {
                             crate::obs::resumes_total().inc();
                             crate::obs::shard_adoptions_total().inc();
                             event(Level::Info, "net.session_adopted")
                                 .str("label", &sess.label)
-                                .u64("iterations", sess.kernel.iterations() as u64)
+                                .u64("iterations", sess.iterations() as u64)
                                 .emit();
                             let response = Response::Resumed {
-                                iteration: sess.kernel.iterations(),
+                                iteration: sess.iterations(),
                                 next_seq: sess.next_seq,
-                                done: sess.kernel.is_done(),
+                                done: sess.engine.is_done(),
                             };
                             *active = Some(sess);
                             response
@@ -1985,18 +1696,13 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
         }
         Request::Fetch => match active {
             None => no_session(),
-            Some(sess) => match sess.kernel.next_config() {
-                Some(cfg) => {
-                    let response = Response::Config {
-                        values: cfg.values().to_vec(),
-                        iteration: sess.kernel.iterations(),
-                    };
-                    // The proposal is part of the resumable state (the
-                    // simplex kernel must re-propose the same point
-                    // after a failover), so it replicates too.
-                    ship_snapshot(shared, sess);
-                    response
-                }
+            // Nothing replicates here: a proposal is a pure function of
+            // the replicated state, and a rebuilt engine re-proposes it.
+            Some(sess) => match sess.next_config() {
+                Some(cfg) => Response::Config {
+                    values: cfg.values().to_vec(),
+                    iteration: sess.iterations(),
+                },
                 None => Response::Done,
             },
         },
@@ -2017,7 +1723,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                     }
                     _ => {}
                 }
-                match sess.kernel.observe(performance) {
+                match sess.observe(performance) {
                     Ok(()) => {
                         if seq.is_some() {
                             sess.next_seq += 1;
@@ -2068,8 +1774,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                     .map(|run| run.records.clone())
                     .unwrap_or_default();
                 records.extend(
-                    sess.kernel
-                        .trace()
+                    sess.trace
                         .iter()
                         .map(|t| TuningRecord::new(&t.config, t.performance)),
                 );
@@ -2078,7 +1783,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                         message: "no experience yet: no prior match and nothing measured".into(),
                     };
                 }
-                let report = SensitivityReport::from_history(sess.kernel.space(), &records);
+                let report = SensitivityReport::from_history(sess.engine.space(), &records);
                 Response::Sensitivity {
                     entries: report
                         .entries()
@@ -2214,7 +1919,7 @@ fn resolve_space(spec: SpaceSpec) -> Result<ParameterSpace, String> {
 /// Fold a finished (or abandoned) session into the shared database and
 /// answer with its summary.
 pub(crate) fn record_session(sess: ActiveSession, shared: &Shared) -> Response {
-    let outcome = sess.kernel.finish();
+    let outcome = harmony_engines::finish(sess.engine.as_ref(), sess.trace, sess.started);
     let summary = Response::SessionSummary {
         values: outcome.best_configuration.values().to_vec(),
         performance: outcome.best_performance,
@@ -2232,15 +1937,7 @@ pub(crate) fn record_session(sess: ActiveSession, shared: &Shared) -> Response {
         let run = outcome.to_history(sess.label, sess.characteristics);
         shared.record_run_and_replicate(run);
     }
-    let completed = shared.completed.fetch_add(1, Ordering::SeqCst) + 1;
-    // Snapshot mode persists through the flusher; legacy mode keeps the
-    // old synchronous whole-file save on the request thread.
-    if matches!(shared.backend, Backend::Legacy(_))
-        && shared.config.save_every > 0
-        && completed % shared.config.save_every == 0
-    {
-        shared.persist_legacy();
-    }
+    shared.completed.fetch_add(1, Ordering::SeqCst);
     summary
 }
 
@@ -2360,31 +2057,6 @@ mod tests {
         assert!(summary.iterations > 0 && summary.iterations <= 80);
         drop(client);
         assert_eq!(handle.completed_sessions(), 1);
-        assert_eq!(handle.db_runs(), 1);
-        handle.shutdown();
-    }
-
-    #[test]
-    fn legacy_lock_mode_still_serves_sessions() {
-        let handle = TuningDaemon::start(DaemonConfig {
-            legacy_lock: true,
-            ..DaemonConfig::default()
-        })
-        .unwrap();
-        let mut client = Client::connect(handle.addr()).unwrap();
-        client
-            .start_session(
-                SpaceSpec::Rsl(RSL.into()),
-                "legacy",
-                vec![0.3, 0.7],
-                Some(40),
-            )
-            .unwrap();
-        while let Some(p) = client.fetch().unwrap() {
-            client.report(paraboloid(&p.values)).unwrap();
-        }
-        client.end_session().unwrap();
-        drop(client);
         assert_eq!(handle.db_runs(), 1);
         handle.shutdown();
     }
@@ -3086,6 +2758,185 @@ mod tests {
         drop(stream);
         assert_eq!(handle.db_runs(), 1, "engine sessions record experience");
         handle.shutdown();
+    }
+
+    /// A synthetic objective over any space: peaked inside every range.
+    fn bowl(cfg: &Configuration) -> f64 {
+        cfg.values()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| -((v - 7 * i as i64 - 5) as f64).powi(2))
+            .sum()
+    }
+
+    /// A fresh session exactly as `SessionStart` builds one.
+    fn started_session(
+        config: &DaemonConfig,
+        engine: Option<&str>,
+        space: ParameterSpace,
+        prior: Option<RunHistory>,
+    ) -> ActiveSession {
+        let budget = 40;
+        ActiveSession {
+            engine: build_engine(config, engine, space, budget, prior.as_ref()).unwrap(),
+            engine_name: engine.map(str::to_string),
+            budget,
+            trace: Vec::new(),
+            pending: None,
+            started: Instant::now(),
+            label: "persisted".into(),
+            characteristics: vec![0.25, 0.75],
+            prior,
+            token: Some("hs-test-1".into()),
+            next_seq: 0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The one persisted shape is a serialization bijection for every
+        /// engine (including the daemon's own simplex), and reviving it
+        /// continues the original session's trajectory — also when the
+        /// snapshot was taken with a proposal outstanding, which the
+        /// revived engine must re-propose for the retried `Report`.
+        #[test]
+        fn persisted_sessions_round_trip_and_continue(
+            engine in 0usize..4,
+            dims in proptest::collection::vec((0i64..10, 8i64..40), 1..4),
+            steps in 0usize..30,
+            warm in 0u8..2,
+            mid_step in 0u8..2,
+        ) {
+            let config = DaemonConfig::default();
+            let engine = [None, Some("simplex"), Some("divide-diverge"), Some("tuneful")][engine];
+            let space = ParameterSpace::new(
+                dims.iter()
+                    .enumerate()
+                    .map(|(i, &(lo, span))| {
+                        harmony_space::ParamDef::int(format!("p{i}"), lo, lo + span, lo, 1)
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let prior = (warm == 1).then(|| {
+                let mut cold = started_session(&config, None, space.clone(), None);
+                for _ in 0..8 {
+                    let cfg = cold.next_config().unwrap();
+                    cold.observe(bowl(&cfg)).unwrap();
+                }
+                harmony_engines::finish(cold.engine.as_ref(), cold.trace, cold.started)
+                    .to_history("prior", vec![0.2, 0.8])
+            });
+            let mut live = started_session(&config, engine, space, prior);
+            for _ in 0..steps {
+                let Some(cfg) = live.next_config() else { break };
+                live.observe(bowl(&cfg)).unwrap();
+            }
+            let outstanding = if mid_step == 1 { live.next_config() } else { None };
+
+            let text = serde_json::to_string(&PersistedSessionRef { token: "hs-test-1", sess: &live }).unwrap();
+            let decoded: PersistedSession = serde_json::from_str(&text).unwrap();
+            proptest::prop_assert_eq!(serde_json::to_string(&decoded).unwrap(), text.clone());
+
+            let mut revived = ActiveSession::revive(decoded, &config).unwrap();
+            proptest::prop_assert_eq!(
+                revived.engine.training_iterations(),
+                live.engine.training_iterations()
+            );
+            if let Some(cfg) = outstanding {
+                // The retried `Report` arrives without a fresh `Fetch`.
+                live.observe(bowl(&cfg)).unwrap();
+                revived.observe(bowl(&cfg)).unwrap();
+            }
+            loop {
+                let next = live.next_config();
+                proptest::prop_assert_eq!(&revived.next_config(), &next);
+                let Some(cfg) = next else { break };
+                live.observe(bowl(&cfg)).unwrap();
+                revived.observe(bowl(&cfg)).unwrap();
+            }
+            proptest::prop_assert_eq!(&revived.trace, &live.trace);
+            proptest::prop_assert_eq!(revived.engine.converged(), live.engine.converged());
+        }
+    }
+
+    /// A successor whose options make the rebuilt engine propose
+    /// differently from the recorded trace refuses the session instead
+    /// of continuing it off-trajectory.
+    #[test]
+    fn diverging_replay_is_refused() {
+        let config = DaemonConfig::default();
+        let mut sess = started_session(&config, None, parse_rsl(RSL).unwrap(), None);
+        for _ in 0..3 {
+            let cfg = sess.next_config().unwrap();
+            sess.observe(paraboloid(&cfg)).unwrap();
+        }
+        let text = serde_json::to_string(&PersistedSessionRef {
+            token: "hs-test-1",
+            sess: &sess,
+        })
+        .unwrap();
+        let successor = DaemonConfig {
+            tuning: TuningOptions::original(),
+            ..DaemonConfig::default()
+        };
+        let err = ActiveSession::revive(serde_json::from_str(&text).unwrap(), &successor)
+            .err()
+            .expect("a diverging replay must be refused");
+        assert!(err.contains("replay diverged"), "{err}");
+    }
+
+    /// A sessions file in the superseded format (the simplex kernel
+    /// serialized whole under `session`) cannot be revived by replay: it
+    /// is consumed and logged, and the daemon starts serving anyway.
+    #[test]
+    fn superseded_sessions_file_is_consumed_and_logged() {
+        let dir = std::env::temp_dir().join("harmony-net-server-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join("superseded.json");
+        let sessions = sessions_path(&db);
+        let space = parse_rsl(RSL).unwrap();
+        let mut session = Tuner::new(space, TuningOptions::improved()).session();
+        let cfg = session.next_config().unwrap();
+        session.observe(paraboloid(&cfg)).unwrap();
+        let mut entry = serde::Map::new();
+        entry.insert("token".into(), "hs-old-1".to_value());
+        entry.insert("session".into(), session.to_value());
+        entry.insert("label".into(), "superseded".to_value());
+        entry.insert("characteristics".into(), vec![0.5f64].to_value());
+        entry.insert("prior".into(), serde::Value::Null);
+        entry.insert("next_seq".into(), 1u64.to_value());
+        let text = serde_json::to_string(&vec![serde::Value::Object(entry)]).unwrap();
+        std::fs::write(&sessions, text).unwrap();
+
+        let capture = harmony_obs::event::Capture::install();
+        let handle = TuningDaemon::start(DaemonConfig {
+            db_path: Some(db.clone()),
+            ..DaemonConfig::default()
+        })
+        .expect("an unreadable sessions file never blocks startup");
+        assert!(!sessions.exists(), "the sessions file is consumed");
+        let path = sessions.display().to_string();
+        assert!(
+            capture.lines().iter().any(|l| {
+                l.contains("\"event\":\"net.sessions_load_failed\"") && l.contains(&path)
+            }),
+            "{:#?}",
+            capture.lines()
+        );
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client
+            .start_session(SpaceSpec::Rsl(RSL.into()), "after", vec![0.5], Some(5))
+            .unwrap();
+        drop(client);
+        handle.shutdown();
+        for leftover in [
+            db.clone(),
+            effective_wal_path(&DaemonConfig::default(), &db),
+        ] {
+            std::fs::remove_file(leftover).ok();
+        }
     }
 
     /// The builder refuses the combinations the CLI used to police by

@@ -350,6 +350,11 @@ impl TuningSession {
         &self.space
     }
 
+    /// Options in force.
+    pub fn options(&self) -> &TuningOptions {
+        &self.options
+    }
+
     /// Virtual iterations spent training before the live stage.
     pub fn training_iterations(&self) -> usize {
         self.training_iterations
@@ -363,17 +368,13 @@ impl TuningSession {
         let (best_configuration, best_performance) = self
             .live_best
             .unwrap_or_else(|| (self.space.default_configuration(), f64::NEG_INFINITY));
-        crate::obs::sessions_finished_total().inc();
-        if self.converged {
-            crate::obs::sessions_converged_total().inc();
-        }
-        crate::obs::session_wall_seconds().observe(self.created.0.elapsed().as_secs_f64());
-        event(Level::Info, "tune.finish")
-            .u64("iterations", self.trace.len() as u64)
-            .u64("training_iterations", self.training_iterations as u64)
-            .f64("best", best_performance)
-            .bool("converged", self.converged)
-            .emit();
+        record_finish(
+            self.trace.len(),
+            self.training_iterations,
+            best_performance,
+            self.converged,
+            self.created.0,
+        );
         let report = analyze_trace(&self.trace, &self.options.report);
         TuningOutcome {
             trace: self.trace,
@@ -384,6 +385,31 @@ impl TuningSession {
             training_iterations: self.training_iterations,
         }
     }
+}
+
+/// Account one closed session: the `harmony_sessions_finished_total`,
+/// `harmony_sessions_converged_total` and `harmony_session_wall_seconds`
+/// series plus the `tune.finish` event. [`TuningSession::finish`] calls
+/// it, and so does every engine-driven session, so a session counts the
+/// same whichever search drove it.
+pub fn record_finish(
+    iterations: usize,
+    training_iterations: usize,
+    best: f64,
+    converged: bool,
+    started: Instant,
+) {
+    crate::obs::sessions_finished_total().inc();
+    if converged {
+        crate::obs::sessions_converged_total().inc();
+    }
+    crate::obs::session_wall_seconds().observe(started.elapsed().as_secs_f64());
+    event(Level::Info, "tune.finish")
+        .u64("iterations", iterations as u64)
+        .u64("training_iterations", training_iterations as u64)
+        .f64("best", best)
+        .bool("converged", converged)
+        .emit();
 }
 
 /// A tuning session driver.

@@ -205,6 +205,64 @@ fn killed_owner_fails_over_bit_identically() {
     }
 }
 
+/// The owner dies between a `Fetch` and its `Report`: the replica only
+/// holds the state acknowledged by the previous `Report`. It adopts the
+/// session, answers the retried `Report` on the configuration the client
+/// measured, and the session finishes on the undisturbed trajectory.
+#[test]
+fn owner_death_between_fetch_and_report_keeps_the_trajectory() {
+    let clean = TuningDaemon::start(DaemonConfig::default()).unwrap();
+    let mut direct = Client::connect(clean.addr()).unwrap();
+    let (clean_trace, clean_summary) = drive(&mut direct, "clean-mid", vec![0.4, 0.6]);
+    clean.shutdown();
+    assert!(clean_trace.len() > 10, "budget must be worth interrupting");
+
+    let addrs = reserve_addrs(3);
+    let mut daemons: Vec<DaemonHandle> = (0..3).map(|i| cluster_daemon(&addrs, i, 2)).collect();
+    let mut client = ring_client(&addrs, 11);
+    client
+        .start_session(
+            SpaceSpec::Rsl(RSL.into()),
+            "mid-step",
+            vec![0.4, 0.6],
+            Some(40),
+        )
+        .unwrap();
+    let mut trace = Vec::new();
+    for _ in 0..6 {
+        let p = client.fetch().unwrap().expect("early proposal");
+        let y = perf(p.values.values());
+        trace.push((p.values.values().to_vec(), y.to_bits()));
+        client.report(y).unwrap();
+    }
+    // Fetch the next proposal, then kill the owner before reporting it.
+    let p = client.fetch().unwrap().expect("proposal before the kill");
+    let y = perf(p.values.values());
+    trace.push((p.values.values().to_vec(), y.to_bits()));
+    daemons.remove(0).shutdown();
+    client
+        .report(y)
+        .expect("the retried report lands on the replica");
+    while let Some(p) = client.fetch().expect("post-failover fetch") {
+        let y = perf(p.values.values());
+        trace.push((p.values.values().to_vec(), y.to_bits()));
+        client.report(y).expect("post-failover report");
+    }
+    let summary = client.end_session().expect("post-failover end");
+
+    assert_eq!(clean_trace, trace, "failover changed the trajectory");
+    assert_eq!(clean_summary.iterations, summary.iterations);
+    assert_eq!(clean_summary.best.values(), summary.best.values());
+    assert_eq!(
+        clean_summary.performance.to_bits(),
+        summary.performance.to_bits()
+    );
+    assert_eq!(clean_summary.converged, summary.converged);
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
 /// A member that holds nothing for a foreign token points the client at
 /// the ring owner instead of serving or inventing an error.
 #[test]

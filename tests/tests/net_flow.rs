@@ -200,6 +200,8 @@ fn stats_counters_stay_monotonic_across_concurrent_sessions() {
         ("harmony_net_requests_total{type=\"SessionStart\"}", 3.0),
         ("harmony_net_requests_total{type=\"SessionEnd\"}", 3.0),
         ("harmony_net_request_seconds_count{type=\"Fetch\"}", 3.0),
+        ("harmony_sessions_finished_total", 3.0),
+        ("harmony_session_wall_seconds_count", 3.0),
     ] {
         let delta = series(&after, key) - series(&before, key);
         assert!(delta >= min_delta, "{key} delta {delta} < {min_delta}");
@@ -299,6 +301,17 @@ fn daemon_emits_structured_session_events() {
         .unwrap_or_else(|| panic!("no session_record event in {lines:#?}"));
     assert!(record.contains("\"converged\":"), "{record}");
     assert!(record.contains("\"best\":"), "{record}");
+    // The engine-level finish accounts the same session as `tune.finish`.
+    let field = |line: &str, key: &str| {
+        let at = line.find(&format!("\"{key}\":")).expect("field present");
+        line[at..].split([',', '}']).next().unwrap().to_string()
+    };
+    assert!(
+        lines.iter().any(|l| l.contains("\"event\":\"tune.finish\"")
+            && l.contains(&field(record, "iterations"))
+            && l.contains(&field(record, "best"))),
+        "no tune.finish event for {record} in {lines:#?}"
+    );
 }
 
 #[test]
@@ -1047,4 +1060,76 @@ fn binary_frames_and_bytes_are_accounted() {
         "frames carry at least a tag byte plus a payload"
     );
     handle.shutdown();
+}
+
+#[test]
+fn default_daemon_session_walks_the_local_trained_tuner_trajectory() {
+    // The daemon's default session (no engine named) is the paper's
+    // §4.2 flow: classify, train the simplex on the matched prior run
+    // with the configured training mode, then tune live. Driven locally
+    // with the same options and prior, `Tuner::session_trained` must
+    // propose exactly what the daemon proposes.
+    let db = temp_db("local-reference.json");
+    let mut prior = harmony::history::RunHistory::new("seeded", vec![0.3, 0.7]);
+    let mut seed = Tuner::new(space(), TuningOptions::improved().with_max_iterations(25)).session();
+    while let Some(cfg) = seed.next_config() {
+        prior.push(&cfg, perf(&cfg));
+        seed.observe(perf(&cfg)).unwrap();
+    }
+    let mut seeded = harmony::history::ExperienceDb::new();
+    seeded.add_run(prior);
+    seeded.save(&db).unwrap();
+    // The daemon reads the prior back from the file; so does the local
+    // reference, so both train on the same bits.
+    let prior = harmony::history::ExperienceDb::load(&db).unwrap().runs()[0].clone();
+
+    let config = DaemonConfig {
+        db_path: Some(db.clone()),
+        ..DaemonConfig::default()
+    };
+    let mut local =
+        Tuner::new(space(), config.tuning.clone()).session_trained(&prior, config.training);
+    let mut local_trajectory = Vec::new();
+    while let Some(cfg) = local.next_config() {
+        local_trajectory.push((cfg.values().to_vec(), perf(&cfg).to_bits()));
+        local.observe(perf(&cfg)).unwrap();
+    }
+    let local_training = local.training_iterations();
+    let local_outcome = local.finish();
+
+    let handle = TuningDaemon::start(config).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut remote_trajectory = Vec::new();
+    let (started, summary) = client
+        .tune_with(
+            SpaceSpec::Explicit(space()),
+            "after-seeded",
+            vec![0.3, 0.7],
+            None,
+            |cfg| {
+                remote_trajectory.push((cfg.values().to_vec(), perf(cfg).to_bits()));
+                Ok::<f64, NetError>(perf(cfg))
+            },
+        )
+        .unwrap();
+    handle.shutdown();
+    std::fs::remove_file(&db).ok();
+    let mut wal = db.into_os_string();
+    wal.push(".wal");
+    std::fs::remove_file(wal).ok();
+
+    assert_eq!(started.trained_from.as_deref(), Some("seeded"));
+    assert!(local_training > 0, "the reference must actually train");
+    assert_eq!(started.training_iterations, local_training);
+    assert_eq!(remote_trajectory, local_trajectory);
+    assert_eq!(summary.iterations, local_outcome.trace.len());
+    assert_eq!(
+        summary.best.values(),
+        local_outcome.best_configuration.values()
+    );
+    assert_eq!(
+        summary.performance.to_bits(),
+        local_outcome.best_performance.to_bits()
+    );
+    assert_eq!(summary.converged, local_outcome.converged);
 }

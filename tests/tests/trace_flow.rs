@@ -288,7 +288,7 @@ fn tracing_on_and_off_walk_identical_trajectories() {
 fn traced_session_survives_faults_without_perturbing_the_trajectory() {
     let clean = daemon(false);
     let mut direct = Client::connect(clean.addr()).unwrap();
-    let (clean_trajectory, clean_summary) = drive(&mut direct, "trace-flow-faults");
+    let (clean_trajectory, clean_summary) = drive(&mut direct, "trace-flow-faults-clean");
     clean.shutdown();
     assert!(
         clean_trajectory.len() > 5,
