@@ -10,7 +10,6 @@
 //!   and daemon overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use harmony::prelude::*;
 use harmony_net::client::Client;
 use harmony_net::protocol::SpaceSpec;
 use harmony_net::server::{DaemonConfig, DaemonHandle, TuningDaemon};
@@ -37,7 +36,7 @@ fn paraboloid(cfg: &Configuration) -> f64 {
 
 fn start_daemon(iterations: usize) -> DaemonHandle {
     TuningDaemon::start(DaemonConfig {
-        tuning: TuningOptions::improved().with_max_iterations(iterations),
+        max_iterations: iterations,
         ..DaemonConfig::default()
     })
     .expect("daemon binds a loopback port")

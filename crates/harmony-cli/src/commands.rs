@@ -409,7 +409,7 @@ fn tune_with_engine(
     let prior = if characteristics.is_empty() {
         None
     } else {
-        DataAnalyzer::new().select(&database, &characteristics)
+        DataAnalyzer::new().select_for(&database, None, &space, &characteristics)
     };
     if let Some(history) = &prior {
         let _ = writeln!(out, "training from prior run {:?}", history.label);
@@ -845,7 +845,7 @@ pub fn serve(
     let mut config = builder.build().map_err(|e| fail(format!("serve: {e}")))?;
     config.server_name = format!("harmony-cli {}", env!("CARGO_PKG_VERSION"));
     if let Some(n) = iterations {
-        config.tuning = config.tuning.with_max_iterations(n);
+        config.max_iterations = n;
     }
     let handle = TuningDaemon::start(config).map_err(|e| fail(e.to_string()))?;
     eprintln!("harmony-cli: serving {} parameters from {rsl}", space.len());
@@ -961,6 +961,50 @@ mod tests {
         let out = run(cli.command).unwrap();
         assert!(out.contains("2 run(s)"), "{out}");
         fs::remove_file(&db).ok();
+    }
+
+    #[test]
+    fn a_prior_run_over_another_width_is_skipped_not_trained_on() {
+        let dir = std::env::temp_dir().join("harmony-cli-tests");
+        fs::create_dir_all(&dir).unwrap();
+        let wide = dir.join("width-wide.rsl");
+        fs::write(
+            &wide,
+            "{ harmonyBundle A { int {1 8 1} }}\n{ harmonyBundle B { int {1 8 1} }}\n\
+             { harmonyBundle C { int {1 8 1} }}\n",
+        )
+        .unwrap();
+        let narrow = dir.join("width-narrow.rsl");
+        fs::write(&narrow, "{ harmonyBundle A { int {1 8 1} }}\n").unwrap();
+        let db = dir.join("width-exp.json");
+        fs::remove_file(&db).ok();
+        let tune = |rsl: &std::path::Path, label: &str| {
+            let args = [
+                "tune",
+                rsl.to_str().unwrap(),
+                "--iterations",
+                "20",
+                "--db",
+                db.to_str().unwrap(),
+                "--label",
+                label,
+                "--characteristics",
+                "0.4,0.6",
+                "--",
+                "sh",
+                "-c",
+                "echo $((50 - (HARMONY_A-4)*(HARMONY_A-4)))",
+            ];
+            run(parse_args(&sv(&args)).unwrap().command).unwrap()
+        };
+        tune(&wide, "wide");
+        // The only (and nearest) prior run has three values per record:
+        // it cannot seed a one-parameter search, which runs cold.
+        let out = tune(&narrow, "narrow");
+        fs::remove_file(&db).ok();
+        assert!(!out.contains("training from"), "{out}");
+        assert!(out.contains("best performance: 50"), "{out}");
+        assert!(out.contains("(2 runs)"), "{out}");
     }
 
     #[test]
@@ -1461,6 +1505,77 @@ mod tests {
             "\n--- local\n{local}\n--- remote\n{remote}"
         );
         assert!(local.contains("best performance: 100"), "{local}");
+
+        // Warm: one seeded database behind a daemon and behind a local
+        // `tune`. Both warm-start the registry simplex the same way, so
+        // with or without `--engine simplex` all four runs agree.
+        let dir = std::env::temp_dir().join("harmony-cli-tests");
+        let seed_db = dir.join("remote-engine-seed.json");
+        fs::remove_file(&seed_db).ok();
+        let warm = |iterations: &str, extra: &[&str]| {
+            let mut args = vec![
+                "tune",
+                rsl.to_str().unwrap(),
+                "--iterations",
+                iterations,
+                "--characteristics",
+                "0.3,0.6",
+            ];
+            args.extend_from_slice(extra);
+            args.extend_from_slice(&["--", "sh", "-c", cmd]);
+            run(parse_args(&sv(&args)).unwrap().command).unwrap()
+        };
+        // A short seed run: its few records leave the warm start's
+        // replay budget visible in how far the live search must go.
+        warm(
+            "10",
+            &["--db", seed_db.to_str().unwrap(), "--label", "seed"],
+        );
+        let mut outs = Vec::new();
+        for engine in [&[][..], &["--engine", "simplex"][..]] {
+            let local_db = dir.join("remote-engine-local.json");
+            fs::copy(&seed_db, &local_db).unwrap();
+            let mut extra = vec!["--db", local_db.to_str().unwrap(), "--label", "warm"];
+            extra.extend_from_slice(engine);
+            outs.push(warm("30", &extra));
+            fs::remove_file(&local_db).ok();
+
+            let served_db = dir.join("remote-engine-served.json");
+            fs::copy(&seed_db, &served_db).unwrap();
+            serve(
+                rsl.to_str().unwrap(),
+                Some(served_db.to_str().unwrap()),
+                None,
+                None,
+                "127.0.0.1:0",
+                &[],
+                None,
+                None,
+                None,
+                false,
+                LogOptions::default(),
+                false,
+                |handle| {
+                    let addr = handle.addr().to_string();
+                    let mut extra = vec!["--remote", &addr, "--label", "warm"];
+                    extra.extend_from_slice(engine);
+                    outs.push(warm("30", &extra));
+                },
+            )
+            .unwrap();
+            fs::remove_file(&served_db).ok();
+            fs::remove_file(dir.join("remote-engine-served.json.wal")).ok();
+        }
+        fs::remove_file(&seed_db).ok();
+        for out in &outs {
+            assert!(out.contains("training from prior run \"seed\""), "{out}");
+            assert_eq!(
+                summary(out),
+                summary(&outs[0]),
+                "\n--- first\n{}\n--- this\n{out}",
+                outs[0]
+            );
+        }
     }
 
     #[test]

@@ -9,12 +9,8 @@
 use crate::{EngineError, SearchEngine};
 use harmony::history::RunHistory;
 use harmony::kernel::SimplexOptions;
-use harmony::tuner::{TrainingMode, Tuner, TuningOptions, TuningSession};
+use harmony::tuner::{TrainingMode, Tuner, TuningOptions, TuningSession, WARM_START_REPLAY};
 use harmony_space::{Configuration, ParameterSpace};
-
-/// Virtual replay budget a warm start spends on the prior run's records
-/// (mirrors the CLI's default training mode).
-const WARM_REPLAY_BUDGET: usize = 10;
 
 /// The discrete simplex kernel as a [`SearchEngine`].
 #[derive(Debug, Clone)]
@@ -38,16 +34,6 @@ impl SimplexEngine {
     ) -> Self {
         let session = Tuner::new(space, options).session_with_options(simplex);
         SimplexEngine { simplex, session }
-    }
-
-    /// Wrap a session built elsewhere — cold, or already trained on a
-    /// prior run with whatever [`TrainingMode`] its builder chose. The
-    /// engine continues exactly that session's trajectory.
-    pub fn from_session(session: TuningSession) -> Self {
-        SimplexEngine {
-            simplex: SimplexOptions::default(),
-            session,
-        }
     }
 }
 
@@ -98,9 +84,10 @@ impl SearchEngine for SimplexEngine {
         self.session.training_iterations()
     }
 
-    /// Rebuild the session trained on the prior run (replay mode, same
-    /// as the CLI's default §4.2 flow). Discards any live measurements
-    /// already observed, so call before the first proposal.
+    /// Rebuild the session trained on the prior run, replaying
+    /// [`WARM_START_REPLAY`] virtual iterations (§4.2). Discards any
+    /// live measurements already observed, so call before the first
+    /// proposal.
     ///
     /// The trained kernel starts from the history's diverse seeds with
     /// *default* coefficients: seeding computes kernel state eagerly,
@@ -111,7 +98,7 @@ impl SearchEngine for SimplexEngine {
         self.session = if history.records.is_empty() {
             tuner.session_with_options(self.simplex)
         } else {
-            tuner.session_trained(history, TrainingMode::Replay(WARM_REPLAY_BUDGET))
+            tuner.session_trained(history, TrainingMode::Replay(WARM_START_REPLAY))
         };
     }
 }

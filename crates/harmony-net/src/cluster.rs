@@ -101,7 +101,7 @@ pub fn characteristics_hash(characteristics: &[f64]) -> u64 {
 
 /// A consistent-hash ring over member addresses.
 ///
-/// Each member contributes [`VNODES`] points at
+/// Each member contributes `VNODES` points at
 /// `ring_hash("{addr}#{i}")`; a key belongs to the member owning the
 /// point at or clockwise of the key's hash. Point positions depend only
 /// on the member addresses, never on list order, so every daemon in a

@@ -31,11 +31,12 @@
 //! folds journal plus snapshot into a fresh whole-file snapshot
 //! (*compaction*). A slow disk therefore delays nothing but the flusher.
 //!
-//! Every session is one [`SearchEngine`] driven ask–tell: the paper's
-//! simplex (trained per [`DaemonConfig::training`]) when `SessionStart`
-//! names no engine, or the named registry engine. A session persists
-//! (to the sessions file at shutdown, or to replica peers on every
-//! step) as its inputs plus its observed trace, and a successor
+//! Every session is one registry [`SearchEngine`] driven ask–tell: the
+//! engine `SessionStart` names, or the paper's simplex when it names
+//! none, warm-started from the classified prior run through
+//! [`SearchEngine::warm_start`] exactly as a local `tune` is. A session
+//! persists (to the sessions file at shutdown, or to replica peers on
+//! every step) as its inputs plus its observed trace, and a successor
 //! rebuilds the engine and replays the trace through it: engines are
 //! deterministic, so the rebuilt one continues the exact trajectory.
 
@@ -52,8 +53,8 @@ use harmony::history::{
 };
 use harmony::report::TraceEntry;
 use harmony::sensitivity::SensitivityReport;
-use harmony::tuner::{TrainingMode, Tuner, TuningOptions};
-use harmony_engines::{registry as engines, SearchEngine, SimplexEngine};
+use harmony_engines::registry::{self as engines, EngineSpec};
+use harmony_engines::SearchEngine;
 use harmony_obs::event::{event, Level};
 use harmony_obs::trace::{self, stage, TraceContext};
 use harmony_space::{parse_rsl, Configuration, ParameterSpace};
@@ -88,11 +89,9 @@ pub struct DaemonConfig {
     /// Concurrent-connection cap; further connections are refused with
     /// an `Error` response.
     pub max_connections: usize,
-    /// Default tuning options for sessions (clients may override the
-    /// budget per session).
-    pub tuning: TuningOptions,
-    /// How matched prior experience trains a session (§4.2).
-    pub training: TrainingMode,
+    /// Live-measurement budget of a session whose `SessionStart` sets
+    /// none.
+    pub max_iterations: usize,
     /// Classification mechanism and match gate.
     pub analyzer: DataAnalyzer,
     /// Fold journal + snapshot into a fresh snapshot after this many
@@ -242,8 +241,7 @@ impl Default for DaemonConfig {
             db_path: None,
             wal_path: None,
             max_connections: 32,
-            tuning: TuningOptions::improved(),
-            training: TrainingMode::Replay(12),
+            max_iterations: 200,
             analyzer: DataAnalyzer::new(),
             compact_every: 64,
             threaded: false,
@@ -505,12 +503,13 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Classify `observed` against the shared experience (§4.2).
-    fn select_prior(&self, observed: &[f64]) -> Option<RunHistory> {
+    /// Classify `observed` against the shared experience recorded over
+    /// `space` (§4.2).
+    fn select_prior(&self, space: &ParameterSpace, observed: &[f64]) -> Option<RunHistory> {
         let snap = self.db.load();
         self.config
             .analyzer
-            .select_with(&snap.db, Some(&snap.index), observed)
+            .select_for(&snap.db, Some(&snap.index), space, observed)
     }
 
     /// Fold a recorded run into the shared database and queue it for the
@@ -605,7 +604,8 @@ fn sessions_path(db_path: &Path) -> PathBuf {
 #[derive(Serialize, Deserialize)]
 struct PersistedSession {
     token: String,
-    /// Registry engine name; `None` is the daemon's own simplex.
+    /// Registry engine name as `SessionStart` gave it; `None` is the
+    /// simplex.
     engine: Option<String>,
     space: ParameterSpace,
     budget: usize,
@@ -661,7 +661,7 @@ fn ship_snapshot(shared: &Shared, sess: &ActiveSession) {
 
 /// Load (and remove) the sessions file a predecessor left behind,
 /// parking its sessions for `Resume`.
-fn load_parked_sessions(registry: &SessionRegistry, config: &DaemonConfig, db_path: &Path) {
+fn load_parked_sessions(registry: &SessionRegistry, db_path: &Path) {
     let path = sessions_path(db_path);
     let Ok(text) = std::fs::read_to_string(&path) else {
         return;
@@ -682,7 +682,7 @@ fn load_parked_sessions(registry: &SessionRegistry, config: &DaemonConfig, db_pa
     let mut count = 0u64;
     for p in loaded {
         let token = p.token.clone();
-        match ActiveSession::revive(p, config) {
+        match ActiveSession::revive(p) {
             Ok(sess) => {
                 registry.park(token, sess);
                 count += 1;
@@ -762,7 +762,7 @@ impl TuningDaemon {
         };
         let registry = SessionRegistry::new();
         if let Some(path) = &config.db_path {
-            load_parked_sessions(&registry, &config, path);
+            load_parked_sessions(&registry, path);
         }
         let cluster = build_cluster(&config)?;
         let shared = Arc::new(Shared {
@@ -1084,51 +1084,37 @@ fn linger_close(mut stream: TcpStream, timeout: Duration) {
     while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
+/// The registry engine a session runs: the one `SessionStart` named,
+/// or the paper's simplex when it named none.
+fn lookup_engine(name: Option<&str>) -> Result<EngineSpec, String> {
+    engines::lookup(name.unwrap_or("simplex")).map_err(|e| e.to_string())
+}
+
 /// Build the search a session runs — the one constructor behind both
-/// `SessionStart` and revival. No `engine` name is the paper's simplex
-/// exactly as the daemon is configured: [`DaemonConfig::tuning`] with
-/// the session's budget, trained on the matched prior run per
-/// [`DaemonConfig::training`] (§4.2). A name builds that registry
-/// engine with the shared [`engines::DEFAULT_SEED`] and warm-starts it
-/// from the prior run.
+/// `SessionStart` and revival: the registry engine with the shared
+/// [`engines::DEFAULT_SEED`], warm-started from the matched prior run
+/// (§4.2), so the session explores what a local `tune` with the same
+/// engine and database explores.
 fn build_engine(
-    config: &DaemonConfig,
-    engine: Option<&str>,
+    spec: EngineSpec,
     space: ParameterSpace,
     budget: usize,
     prior: Option<&RunHistory>,
-) -> Result<Box<dyn SearchEngine + Send>, String> {
-    let warm_span = |history: &RunHistory| trace::child(stage::WARM_START, &history.label);
-    match engine {
-        None => {
-            let tuner = Tuner::new(space, config.tuning.clone().with_max_iterations(budget));
-            let session = match prior {
-                Some(history) => {
-                    let _span = warm_span(history);
-                    tuner.session_trained(history, config.training)
-                }
-                None => tuner.session(),
-            };
-            Ok(Box::new(SimplexEngine::from_session(session)))
-        }
-        Some(name) => {
-            let spec = engines::lookup(name).map_err(|e| e.to_string())?;
-            let mut engine = spec.build(space, budget, engines::DEFAULT_SEED);
-            if let Some(history) = prior {
-                let _span = warm_span(history);
-                engine.warm_start(history);
-            }
-            Ok(engine)
-        }
+) -> Box<dyn SearchEngine + Send> {
+    let mut engine = spec.build(space, budget, engines::DEFAULT_SEED);
+    if let Some(history) = prior {
+        let _span = trace::child(stage::WARM_START, &history.label);
+        engine.warm_start(history);
     }
+    engine
 }
 
 /// One tuning session: the engine driving it plus what makes it
 /// resumable and recordable.
 pub(crate) struct ActiveSession {
     engine: Box<dyn SearchEngine + Send>,
-    /// The registry name `SessionStart` asked for (`None`: the daemon's
-    /// own simplex), kept so a successor rebuilds the same engine.
+    /// The registry name `SessionStart` asked for (`None`: the
+    /// simplex), kept so a successor rebuilds the same engine.
     engine_name: Option<String>,
     budget: usize,
     /// Every observation in order — the live trace and, persisted, the
@@ -1156,7 +1142,7 @@ impl ActiveSession {
     /// Rebuild a live session from a persisted snapshot — the sessions
     /// file a predecessor wrote, or a peer-shipped replica being
     /// adopted — by replaying its trace through a freshly built engine.
-    fn revive(p: PersistedSession, config: &DaemonConfig) -> Result<ActiveSession, String> {
+    fn revive(p: PersistedSession) -> Result<ActiveSession, String> {
         let PersistedSession {
             token,
             engine: engine_name,
@@ -1168,18 +1154,13 @@ impl ActiveSession {
             prior,
             next_seq,
         } = p;
-        let mut engine = build_engine(
-            config,
-            engine_name.as_deref(),
-            space,
-            budget,
-            prior.as_ref(),
-        )?;
+        let spec = lookup_engine(engine_name.as_deref())?;
+        let mut engine = build_engine(spec, space, budget, prior.as_ref());
         for entry in &trace {
             if engine.next_config().as_ref() != Some(&entry.config) {
                 return Err(format!(
                     "replay diverged at iteration {}: the rebuilt engine proposes \
-                     differently (daemon options changed?)",
+                     differently (snapshot from another version?)",
                     entry.iteration
                 ));
             }
@@ -1538,43 +1519,28 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 Ok(s) => s,
                 Err(message) => return Response::Error { message },
             };
-            if let Some(name) = &engine {
-                if let Err(e) = engines::lookup(name) {
-                    return Response::Error {
-                        message: e.to_string(),
-                    };
-                }
-            }
+            let spec = match lookup_engine(engine.as_deref()) {
+                Ok(spec) => spec,
+                Err(message) => return Response::Error { message },
+            };
             // Classify the observed characteristics against everyone's
-            // prior experience (§4.2). A match whose space shape differs
-            // from this session's cannot seed the search — skip it.
+            // prior experience (§4.2).
             let prior = {
                 let _span = trace::child(stage::CLASSIFY, &label);
-                shared
-                    .select_prior(&characteristics)
-                    .filter(|run| run.records.iter().all(|r| r.values.len() == space.len()))
+                shared.select_prior(&space, &characteristics)
             };
             if prior.is_some() {
                 crate::obs::warm_start_hits_total().inc();
             } else {
                 crate::obs::warm_start_misses_total().inc();
             }
-            let budget = max_iterations.unwrap_or(shared.config.tuning.max_iterations);
-            let built = match build_engine(
-                &shared.config,
-                engine.as_deref(),
-                space,
-                budget,
-                prior.as_ref(),
-            ) {
-                Ok(built) => built,
-                Err(message) => return Response::Error { message },
-            };
+            let budget = max_iterations.unwrap_or(shared.config.max_iterations);
+            let built = build_engine(spec, space, budget, prior.as_ref());
             let token = (conn.version >= 2).then(|| issue_self_owned_token(shared));
             crate::obs::sessions_started_total().inc();
             event(Level::Info, "net.session_start")
                 .str("label", &label)
-                .str("engine", engine.as_deref().unwrap_or("simplex"))
+                .str("engine", spec.name())
                 .bool("warm_start", prior.is_some())
                 .u64("training_iterations", built.training_iterations() as u64)
                 .emit();
@@ -1651,7 +1617,7 @@ fn handle_request(request: Request, conn: &mut ConnState, shared: &Shared) -> Re
                 // and only a complete miss can redirect, so a session
                 // can never be served from two places.
                 if let Some(persisted) = shared.adopt_replica(&token) {
-                    return match ActiveSession::revive(persisted, &shared.config) {
+                    return match ActiveSession::revive(persisted) {
                         Ok(sess) => {
                             crate::obs::resumes_total().inc();
                             crate::obs::shard_adoptions_total().inc();
@@ -2024,6 +1990,7 @@ fn fill(
 mod tests {
     use super::*;
     use crate::client::Client;
+    use harmony::tuner::{Tuner, TuningOptions};
     use harmony_space::Configuration;
     use std::time::Instant;
 
@@ -2771,14 +2738,14 @@ mod tests {
 
     /// A fresh session exactly as `SessionStart` builds one.
     fn started_session(
-        config: &DaemonConfig,
         engine: Option<&str>,
         space: ParameterSpace,
         prior: Option<RunHistory>,
     ) -> ActiveSession {
         let budget = 40;
+        let spec = lookup_engine(engine).unwrap();
         ActiveSession {
-            engine: build_engine(config, engine, space, budget, prior.as_ref()).unwrap(),
+            engine: build_engine(spec, space, budget, prior.as_ref()),
             engine_name: engine.map(str::to_string),
             budget,
             trace: Vec::new(),
@@ -2796,7 +2763,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
         /// The one persisted shape is a serialization bijection for every
-        /// engine (including the daemon's own simplex), and reviving it
+        /// engine (including the unnamed default simplex), and reviving it
         /// continues the original session's trajectory — also when the
         /// snapshot was taken with a proposal outstanding, which the
         /// revived engine must re-propose for the retried `Report`.
@@ -2808,7 +2775,6 @@ mod tests {
             warm in 0u8..2,
             mid_step in 0u8..2,
         ) {
-            let config = DaemonConfig::default();
             let engine = [None, Some("simplex"), Some("divide-diverge"), Some("tuneful")][engine];
             let space = ParameterSpace::new(
                 dims.iter()
@@ -2820,7 +2786,7 @@ mod tests {
             )
             .unwrap();
             let prior = (warm == 1).then(|| {
-                let mut cold = started_session(&config, None, space.clone(), None);
+                let mut cold = started_session(None, space.clone(), None);
                 for _ in 0..8 {
                     let cfg = cold.next_config().unwrap();
                     cold.observe(bowl(&cfg)).unwrap();
@@ -2828,7 +2794,7 @@ mod tests {
                 harmony_engines::finish(cold.engine.as_ref(), cold.trace, cold.started)
                     .to_history("prior", vec![0.2, 0.8])
             });
-            let mut live = started_session(&config, engine, space, prior);
+            let mut live = started_session(engine, space, prior);
             for _ in 0..steps {
                 let Some(cfg) = live.next_config() else { break };
                 live.observe(bowl(&cfg)).unwrap();
@@ -2839,7 +2805,7 @@ mod tests {
             let decoded: PersistedSession = serde_json::from_str(&text).unwrap();
             proptest::prop_assert_eq!(serde_json::to_string(&decoded).unwrap(), text.clone());
 
-            let mut revived = ActiveSession::revive(decoded, &config).unwrap();
+            let mut revived = ActiveSession::revive(decoded).unwrap();
             proptest::prop_assert_eq!(
                 revived.engine.training_iterations(),
                 live.engine.training_iterations()
@@ -2861,13 +2827,12 @@ mod tests {
         }
     }
 
-    /// A successor whose options make the rebuilt engine propose
-    /// differently from the recorded trace refuses the session instead
-    /// of continuing it off-trajectory.
+    /// A persisted trace the rebuilt engine would not have proposed (a
+    /// snapshot from a peer whose engines differ, or a corrupted file)
+    /// is refused instead of continued off-trajectory.
     #[test]
     fn diverging_replay_is_refused() {
-        let config = DaemonConfig::default();
-        let mut sess = started_session(&config, None, parse_rsl(RSL).unwrap(), None);
+        let mut sess = started_session(None, parse_rsl(RSL).unwrap(), None);
         for _ in 0..3 {
             let cfg = sess.next_config().unwrap();
             sess.observe(paraboloid(&cfg)).unwrap();
@@ -2877,14 +2842,14 @@ mod tests {
             sess: &sess,
         })
         .unwrap();
-        let successor = DaemonConfig {
-            tuning: TuningOptions::original(),
-            ..DaemonConfig::default()
-        };
-        let err = ActiveSession::revive(serde_json::from_str(&text).unwrap(), &successor)
+        let mut persisted: PersistedSession = serde_json::from_str(&text).unwrap();
+        let mut values = persisted.trace[1].config.values().to_vec();
+        values[0] = if values[0] == 0 { 1 } else { values[0] - 1 };
+        persisted.trace[1].config = Configuration::new(values);
+        let err = ActiveSession::revive(persisted)
             .err()
             .expect("a diverging replay must be refused");
-        assert!(err.contains("replay diverged"), "{err}");
+        assert!(err.contains("replay diverged at iteration 1"), "{err}");
     }
 
     /// A sessions file in the superseded format (the simplex kernel

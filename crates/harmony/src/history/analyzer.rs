@@ -11,6 +11,7 @@ use crate::history::db::ExperienceDb;
 use crate::history::index::CharacteristicsIndex;
 use crate::history::record::RunHistory;
 use crate::history::tree::DecisionTree;
+use harmony_space::ParameterSpace;
 
 /// Pluggable classification mechanism.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,6 +135,23 @@ impl DataAnalyzer {
         }
     }
 
+    /// [`select_with`](Self::select_with) for a search over `space`: a
+    /// match holding any record of another width (a run tuned over a
+    /// differently shaped space) cannot seed that search, so it counts
+    /// as no match and the session runs cold. Every warm start — the
+    /// CLI's `tune`, the daemon, [`crate::server::HarmonyServer`] —
+    /// selects through here.
+    pub fn select_for(
+        &self,
+        db: &ExperienceDb,
+        index: Option<&CharacteristicsIndex>,
+        space: &ParameterSpace,
+        observed: &[f64],
+    ) -> Option<RunHistory> {
+        self.select_with(db, index, observed)
+            .filter(|run| run.records.iter().all(|r| r.values.len() == space.len()))
+    }
+
     fn within(&self, observed: &[f64], run: &RunHistory) -> bool {
         harmony_linalg::stats::euclidean(&run.characteristics, observed) <= self.max_match_distance
     }
@@ -207,6 +225,70 @@ mod tests {
                     "at {observed:?}"
                 );
             }
+        }
+    }
+
+    /// One run recorded over three parameters next to one recorded over
+    /// one parameter.
+    fn mixed_width_db() -> ExperienceDb {
+        let mut db = ExperienceDb::new();
+        let mut wide = RunHistory::new("wide", vec![0.0, 0.0]);
+        wide.push(&Configuration::new(vec![1, 2, 3]), 10.0);
+        let mut narrow = RunHistory::new("narrow", vec![1.0, 0.0]);
+        narrow.push(&Configuration::new(vec![4]), 20.0);
+        db.add_run(wide);
+        db.add_run(narrow);
+        db
+    }
+
+    fn int_space(width: usize) -> ParameterSpace {
+        let mut builder = ParameterSpace::builder();
+        for i in 0..width {
+            builder = builder.param(harmony_space::ParamDef::int(format!("p{i}"), 0, 9, 5, 1));
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn select_for_least_squares_drops_a_foreign_width_match() {
+        let database = mixed_width_db();
+        let index = database.build_index();
+        let an = DataAnalyzer::new();
+        for ix in [None, Some(&index)] {
+            // The nearest run is the wide one: a one-parameter search
+            // runs cold rather than falling back to a farther run.
+            let label = |space, observed: &[f64]| {
+                an.select_for(&database, ix, &int_space(space), observed)
+                    .map(|r| r.label)
+            };
+            assert_eq!(label(1, &[0.1, 0.0]), None);
+            assert_eq!(label(3, &[0.1, 0.0]).as_deref(), Some("wide"));
+            assert_eq!(label(1, &[0.9, 0.0]).as_deref(), Some("narrow"));
+            assert_eq!(label(3, &[0.9, 0.0]), None);
+        }
+    }
+
+    #[test]
+    fn select_for_k_nearest_drops_a_merge_holding_any_foreign_width_record() {
+        let database = mixed_width_db();
+        let index = database.build_index();
+        let merged = DataAnalyzer::new().with_classifier(Classifier::KNearest(2));
+        assert!(
+            merged.select(&database, &[0.5, 0.0]).is_some(),
+            "both runs merge"
+        );
+        for ix in [None, Some(&index)] {
+            for width in [1, 3] {
+                assert!(merged
+                    .select_for(&database, ix, &int_space(width), &[0.5, 0.0])
+                    .is_none());
+            }
+            let single = DataAnalyzer::new().with_classifier(Classifier::KNearest(1));
+            let sel = single
+                .select_for(&database, ix, &int_space(1), &[0.9, 0.0])
+                .unwrap();
+            assert_eq!(sel.records.len(), 1);
+            assert_eq!(sel.label, "knn:narrow");
         }
     }
 

@@ -8,7 +8,7 @@
 use crate::history::{DataAnalyzer, ExperienceDb, RunHistory};
 use crate::objective::Objective;
 use crate::sensitivity::{Prioritizer, SensitivityReport, SubspaceFocus};
-use crate::tuner::{TrainingMode, Tuner, TuningOptions, TuningOutcome};
+use crate::tuner::{TrainingMode, Tuner, TuningOptions, TuningOutcome, WARM_START_REPLAY};
 use harmony_space::{parse_rsl, Configuration, ParameterSpace, RslError};
 
 /// Server-level options.
@@ -29,7 +29,7 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             tuning: TuningOptions::improved(),
-            training: TrainingMode::Replay(12),
+            training: TrainingMode::Replay(WARM_START_REPLAY),
             analyzer: DataAnalyzer::new(),
             focus_top_n: None,
         }
@@ -120,8 +120,11 @@ impl HarmonyServer {
         label: &str,
         characteristics: &[f64],
     ) -> SessionOutcome {
-        // 1. Classify against prior experience.
-        let prior: Option<RunHistory> = self.options.analyzer.select(&self.db, characteristics);
+        // 1. Classify against prior experience recorded over this space.
+        let prior: Option<RunHistory> =
+            self.options
+                .analyzer
+                .select_for(&self.db, None, &self.space, characteristics);
         let trained_from = prior.as_ref().map(|r| r.label.clone());
 
         // 2. Choose the space: full or focused on the top-n sensitive
@@ -143,9 +146,7 @@ impl HarmonyServer {
             None => {
                 let tuner = Tuner::new(self.space.clone(), self.options.tuning.clone());
                 match &prior {
-                    Some(history) => {
-                        objective_trained(&tuner, objective, history, self.options.training)
-                    }
+                    Some(history) => tuner.run_trained(objective, history, self.options.training),
                     None => tuner.run(objective),
                 }
             }
@@ -160,7 +161,7 @@ impl HarmonyServer {
                 let prior_reduced = prior.as_ref().map(|h| reduce_history(h, focus));
                 let mut out = match &prior_reduced {
                     Some(history) => {
-                        objective_trained(&tuner, &mut bridged, history, self.options.training)
+                        tuner.run_trained(&mut bridged, history, self.options.training)
                     }
                     None => tuner.run(&mut bridged),
                 };
@@ -187,15 +188,6 @@ impl HarmonyServer {
             tuned_indices,
         }
     }
-}
-
-fn objective_trained(
-    tuner: &Tuner,
-    objective: &mut dyn Objective,
-    history: &RunHistory,
-    mode: TrainingMode,
-) -> TuningOutcome {
-    tuner.run_trained(objective, history, mode)
 }
 
 /// Project a full-space history onto a focused subspace (dropping the
@@ -262,6 +254,19 @@ mod tests {
         assert_eq!(out2.trained_from.as_deref(), Some("w1"));
         assert_eq!(server.db().len(), 2);
         assert!(out2.tuning.training_iterations > 0 || out2.tuning.best_performance > 450.0);
+    }
+
+    #[test]
+    fn a_foreign_width_prior_run_is_skipped_not_trained_on() {
+        let mut server = HarmonyServer::new(space(), ServerOptions::default());
+        let mut foreign = RunHistory::new("one-param", vec![1.0, 0.0]);
+        foreign.push(&Configuration::new(vec![7]), 100.0);
+        server.db_mut().add_run(foreign);
+        let mut obj = FnObjective::new(eval);
+        let out = server.tune_session(&mut obj, "w", &[1.0, 0.0]);
+        assert!(out.trained_from.is_none(), "ran cold instead of panicking");
+        assert_eq!(out.tuning.training_iterations, 0);
+        assert_eq!(server.db().len(), 2);
     }
 
     #[test]

@@ -16,6 +16,12 @@ use std::time::Instant;
 /// collapsed and is re-expanded before live tuning.
 const RESTART_SPREAD: f64 = 0.05;
 
+/// Virtual iterations a §4.2 warm start replays over the matched prior
+/// run ([`TrainingMode::Replay`]). Every warm-started simplex uses it —
+/// local `tune`, daemon sessions, [`crate::server::HarmonyServer`] — so
+/// one database trains one tuner wherever the search runs.
+pub const WARM_START_REPLAY: usize = 12;
+
 /// How historical experience is injected before live tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainingMode {

@@ -8,6 +8,7 @@
 //! deltas (`>=`, never `==`) and filter captured events by label.
 
 use harmony::prelude::*;
+use harmony::tuner::{TrainingMode, WARM_START_REPLAY};
 use harmony_net::client::Client;
 use harmony_net::fault::{FaultKind, FaultPlan, FaultProxy};
 use harmony_net::protocol::{Request, SpaceSpec};
@@ -37,7 +38,7 @@ fn perf(cfg: &Configuration) -> f64 {
 fn daemon_config(db: Option<PathBuf>) -> DaemonConfig {
     DaemonConfig {
         db_path: db,
-        tuning: TuningOptions::improved().with_max_iterations(60),
+        max_iterations: 60,
         ..DaemonConfig::default()
     }
 }
@@ -1066,9 +1067,9 @@ fn binary_frames_and_bytes_are_accounted() {
 fn default_daemon_session_walks_the_local_trained_tuner_trajectory() {
     // The daemon's default session (no engine named) is the paper's
     // §4.2 flow: classify, train the simplex on the matched prior run
-    // with the configured training mode, then tune live. Driven locally
-    // with the same options and prior, `Tuner::session_trained` must
-    // propose exactly what the daemon proposes.
+    // for `WARM_START_REPLAY` virtual iterations, then tune live. Driven
+    // locally with the same options and prior, `Tuner::session_trained`
+    // must propose exactly what the daemon proposes.
     let db = temp_db("local-reference.json");
     let mut prior = harmony::history::RunHistory::new("seeded", vec![0.3, 0.7]);
     let mut seed = Tuner::new(space(), TuningOptions::improved().with_max_iterations(25)).session();
@@ -1087,8 +1088,9 @@ fn default_daemon_session_walks_the_local_trained_tuner_trajectory() {
         db_path: Some(db.clone()),
         ..DaemonConfig::default()
     };
-    let mut local =
-        Tuner::new(space(), config.tuning.clone()).session_trained(&prior, config.training);
+    let options = TuningOptions::improved().with_max_iterations(config.max_iterations);
+    let mut local = Tuner::new(space(), options)
+        .session_trained(&prior, TrainingMode::Replay(WARM_START_REPLAY));
     let mut local_trajectory = Vec::new();
     while let Some(cfg) = local.next_config() {
         local_trajectory.push((cfg.values().to_vec(), perf(&cfg).to_bits()));

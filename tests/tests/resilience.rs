@@ -12,7 +12,6 @@
 //! trajectories would differ for reasons that have nothing to do with
 //! faults.
 
-use harmony::prelude::*;
 use harmony_net::client::{Client, RetryPolicy, SessionSummary};
 use harmony_net::codec::{read_frame, write_frame};
 use harmony_net::fault::{FaultKind, FaultPlan, FaultProxy};
@@ -38,7 +37,7 @@ fn perf(values: &[i64]) -> f64 {
 fn daemon(db: Option<PathBuf>) -> DaemonHandle {
     TuningDaemon::start(DaemonConfig {
         db_path: db,
-        tuning: TuningOptions::improved().with_max_iterations(40),
+        max_iterations: 40,
         ..DaemonConfig::default()
     })
     .expect("daemon starts")

@@ -9,7 +9,6 @@
 //! own session label (carried in `classify`/`wal.append` span details)
 //! instead of assuming the dump holds only its own traces.
 
-use harmony::prelude::*;
 use harmony_exec::Executor;
 use harmony_net::client::{Client, RetryPolicy, SessionSummary};
 use harmony_net::codec::{read_frame, write_frame};
@@ -34,7 +33,7 @@ fn perf(values: &[i64]) -> f64 {
 fn daemon(tracing: bool) -> DaemonHandle {
     TuningDaemon::start(DaemonConfig {
         tracing,
-        tuning: TuningOptions::improved().with_max_iterations(30),
+        max_iterations: 30,
         ..DaemonConfig::default()
     })
     .expect("daemon starts")
