@@ -1,4 +1,5 @@
-//! Criterion: experience-database classification and compression.
+//! Criterion: experience-database classification, compression, snapshot
+//! loading and copy-on-write publishing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use harmony::history::{kmeans, ExperienceDb, RunHistory};
@@ -40,6 +41,37 @@ fn bench_classify(c: &mut Criterion) {
     g.finish();
 }
 
+/// Snapshot text → database; the cost should grow linearly with the
+/// snapshot's bytes.
+fn bench_load(c: &mut Criterion) {
+    let mut g = c.benchmark_group("db_load");
+    for runs in [150usize, 300, 600] {
+        let text = serde_json::to_string_pretty(&db_with(runs)).unwrap();
+        g.bench_with_input(BenchmarkId::from_parameter(runs), &text, |b, text| {
+            b.iter(|| black_box(serde_json::from_str::<ExperienceDb>(text).unwrap()));
+        });
+    }
+    g.finish();
+}
+
+/// The daemon's copy-on-write publish at a session's end: clone the
+/// database, add the run, rebuild the index.
+fn bench_publish(c: &mut Criterion) {
+    let mut g = c.benchmark_group("db_publish");
+    for runs in [150usize, 5000] {
+        let db = db_with(runs);
+        let run = db.runs()[0].clone();
+        g.bench_with_input(BenchmarkId::from_parameter(runs), &db, |b, db| {
+            b.iter(|| {
+                let mut next = db.clone();
+                next.add_run(run.clone());
+                black_box(next.build_index())
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_kmeans(c: &mut Criterion) {
     let mut g = c.benchmark_group("kmeans");
     for n in [50usize, 500] {
@@ -57,5 +89,11 @@ fn bench_kmeans(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_classify, bench_kmeans);
+criterion_group!(
+    benches,
+    bench_classify,
+    bench_load,
+    bench_publish,
+    bench_kmeans
+);
 criterion_main!(benches);

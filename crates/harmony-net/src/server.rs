@@ -64,7 +64,7 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -318,6 +318,11 @@ impl DbSnapshot {
 /// Atomic-snapshot cell: readers clone an `Arc` under a momentary read
 /// lock; writers serialize on `writer`, copy-on-write outside any lock
 /// the readers see, then swap the pointer.
+///
+/// Both locks guard nothing but whole-pointer swaps, so the state is
+/// consistent whenever a lock is free: a panic while one was held
+/// leaves it poisoned but never half-written, and later callers take
+/// the lock anyway.
 struct DbCell {
     current: RwLock<Arc<DbSnapshot>>,
     writer: Mutex<()>,
@@ -333,18 +338,18 @@ impl DbCell {
 
     /// The current snapshot — a pointer clone, never blocked by writers.
     fn load(&self) -> Arc<DbSnapshot> {
-        Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Copy-on-write append: clone the database, add the run, rebuild
-    /// the index, swap. Returns the new run count.
-    fn add_run(&self, run: RunHistory) -> usize {
-        let _writing = self.writer.lock().expect("writer lock poisoned");
+    /// Copy-on-write append: copy the run pointers, add the run, rebuild
+    /// the index, swap. No record is copied. Returns the new run count.
+    fn add_run(&self, run: Arc<RunHistory>) -> usize {
+        let _writing = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let mut db = self.load().db.clone();
         db.add_run(run);
         let len = db.len();
         let next = DbSnapshot::new(db);
-        *self.current.write().expect("snapshot lock poisoned") = next;
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = next;
         crate::obs::db_snapshot_swaps_total().inc();
         len
     }
@@ -487,7 +492,7 @@ pub(crate) struct Shared {
     db: DbCell,
     /// Hands recorded runs to the flusher; `None` when nothing persists.
     /// Taking it closes the channel and stops the flusher.
-    flush: Mutex<Option<mpsc::Sender<RunHistory>>>,
+    flush: Mutex<Option<mpsc::Sender<Arc<RunHistory>>>>,
     pub(crate) registry: SessionRegistry,
     pub(crate) active: AtomicUsize,
     completed: AtomicUsize,
@@ -513,9 +518,10 @@ impl Shared {
     }
 
     /// Fold a recorded run into the shared database and queue it for the
-    /// flusher.
+    /// flusher; both hold the same shared run.
     fn record_run(&self, run: RunHistory) {
-        let len = self.db.add_run(run.clone());
+        let run = Arc::new(run);
+        let len = self.db.add_run(Arc::clone(&run));
         crate::obs::db_runs().set(len as i64);
         if let Some(tx) = self.flush.lock().expect("flusher sender poisoned").as_ref() {
             // A dead flusher only costs durability, not serving.
@@ -968,7 +974,11 @@ impl Drop for DaemonHandle {
 /// The background flusher: drains recorded runs, appends them to the
 /// sink in coalesced batches, and compacts every
 /// [`DaemonConfig::compact_every`] appends plus once at shutdown.
-fn flusher_loop(rx: mpsc::Receiver<RunHistory>, mut sink: Box<dyn DbSink>, shared: Arc<Shared>) {
+fn flusher_loop(
+    rx: mpsc::Receiver<Arc<RunHistory>>,
+    mut sink: Box<dyn DbSink>,
+    shared: Arc<Shared>,
+) {
     let compact_every = shared.config.compact_every;
     let mut since_compact = 0usize;
     while let Ok(first) = rx.recv() {
@@ -2004,6 +2014,38 @@ mod tests {
 
     fn daemon() -> DaemonHandle {
         TuningDaemon::start(DaemonConfig::default()).expect("daemon starts")
+    }
+
+    #[test]
+    fn a_panic_holding_a_db_cell_lock_does_not_poison_it() {
+        let cell = Arc::new(DbCell::new(ExperienceDb::new()));
+        let first = Arc::new(RunHistory::new("first", vec![0.0]));
+        assert_eq!(cell.add_run(Arc::clone(&first)), 1);
+
+        let held = Arc::clone(&cell);
+        let panicked = std::thread::spawn(move || {
+            let _writing = held.writer.lock().unwrap();
+            panic!("a request panics while publishing");
+        })
+        .join();
+        assert!(panicked.is_err() && cell.writer.is_poisoned());
+        let held = Arc::clone(&cell);
+        let panicked = std::thread::spawn(move || {
+            let _swapping = held.current.write().unwrap();
+            panic!("a request panics while swapping");
+        })
+        .join();
+        assert!(panicked.is_err() && cell.current.is_poisoned());
+
+        let second = RunHistory::new("second", vec![1.0]);
+        assert_eq!(cell.add_run(Arc::new(second)), 2);
+        let snap = cell.load();
+        assert_eq!(snap.db.len(), 2);
+        assert_eq!(snap.index.len(), 2);
+        assert!(
+            Arc::ptr_eq(&snap.db.runs()[0], &first),
+            "publishing shares the runs already recorded"
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Errors from persisting the database.
 #[derive(Debug)]
@@ -63,9 +64,13 @@ impl From<serde_json::Error> for DbError {
 /// assert_eq!(idx, 0);
 /// assert_eq!(matched.label, "monday");
 /// ```
+///
+/// Runs are immutable once recorded and held behind [`Arc`], so a clone
+/// of the database copies one pointer per run, never the records. The
+/// serialized form is the plain run list either way.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExperienceDb {
-    runs: Vec<RunHistory>,
+    runs: Vec<Arc<RunHistory>>,
 }
 
 impl ExperienceDb {
@@ -75,7 +80,7 @@ impl ExperienceDb {
     }
 
     /// Stored runs.
-    pub fn runs(&self) -> &[RunHistory] {
+    pub fn runs(&self) -> &[Arc<RunHistory>] {
         &self.runs
     }
 
@@ -91,8 +96,9 @@ impl ExperienceDb {
 
     /// Record a finished run ("the tuning results may be treated as a new
     /// experience and used to update the data characteristics database").
-    pub fn add_run(&mut self, run: RunHistory) {
-        self.runs.push(run);
+    /// An already shared run is stored by pointer.
+    pub fn add_run(&mut self, run: impl Into<Arc<RunHistory>>) {
+        self.runs.push(run.into());
     }
 
     /// Least-squares classification of observed characteristics; returns
@@ -115,7 +121,7 @@ impl ExperienceDb {
                 best = Some((d, i));
             }
         }
-        best.map(|(_, i)| (i, &self.runs[i]))
+        best.map(|(_, i)| (i, &*self.runs[i]))
     }
 
     /// The `k` nearest runs, nearest first (for k-NN style analyzers).
@@ -143,7 +149,7 @@ impl ExperienceDb {
         by_distance.sort_unstable_by(cmp);
         by_distance
             .into_iter()
-            .map(|(_, i)| (i, &self.runs[i]))
+            .map(|(_, i)| (i, &*self.runs[i]))
             .collect()
     }
 
@@ -171,6 +177,7 @@ impl ExperienceDb {
             .map(|c| RunHistory::new("merged", c.clone()))
             .collect();
         for (run, &cluster) in self.runs.drain(..).zip(&clustering.assignment) {
+            let run = Arc::unwrap_or_clone(run);
             let m = &mut merged[cluster];
             if m.label == "merged" {
                 m.label = format!("merged:{}", run.label);
@@ -178,7 +185,7 @@ impl ExperienceDb {
             m.records.extend(run.records);
         }
         merged.retain(|r| !r.records.is_empty());
-        self.runs = merged;
+        self.runs = merged.into_iter().map(Arc::new).collect();
     }
 
     /// Train a decision tree mapping characteristics to run indices (for
@@ -210,7 +217,9 @@ impl ExperienceDb {
     /// The write is crash-safe: the JSON goes to a temporary file in the
     /// same directory which is then atomically renamed over `path`, so a
     /// crash mid-write can never leave a truncated database — readers see
-    /// either the old contents or the new, complete ones.
+    /// either the old contents or the new, complete ones. On Unix the
+    /// directory is fsynced after the rename, so the new name survives
+    /// power loss too.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DbError> {
         let _timer = crate::obs::db_save_seconds().start_timer();
         let path = path.as_ref();
@@ -227,7 +236,8 @@ impl ExperienceDb {
                 file.write_all(json.as_bytes())?;
                 file.sync_all()?;
             }
-            fs::rename(&tmp, path)
+            fs::rename(&tmp, path)?;
+            sync_parent_dir(path)
         })();
         if result.is_err() {
             fs::remove_file(&tmp).ok();
@@ -250,6 +260,22 @@ impl ExperienceDb {
     pub fn build_index(&self) -> crate::history::CharacteristicsIndex {
         crate::history::CharacteristicsIndex::build(self)
     }
+}
+
+/// Make a rename in `path`'s directory durable: the rename only updated
+/// the directory entry, which lives in the directory's own data.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
 }
 
 #[cfg(test)]
@@ -362,6 +388,14 @@ mod tests {
             db.save("/nonexistent/harmony/db.json"),
             Err(DbError::Io(_))
         ));
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_bare_file_name_syncs_the_working_directory() {
+        sync_parent_dir(Path::new("db.json")).unwrap();
+        sync_parent_dir(&std::env::temp_dir().join("db.json")).unwrap();
+        assert!(sync_parent_dir(Path::new("/nonexistent/harmony/db.json")).is_err());
     }
 
     #[test]

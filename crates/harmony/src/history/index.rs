@@ -120,7 +120,7 @@ impl CharacteristicsIndex {
                 search_nearest(db, group, root, observed, &mut best);
             }
         }
-        best.map(|(_, i)| (i, &db.runs()[i]))
+        best.map(|(_, i)| (i, &*db.runs()[i]))
     }
 
     /// Indexed equivalent of [`ExperienceDb::nearest_k`]: the `k`
@@ -150,7 +150,7 @@ impl CharacteristicsIndex {
         }
         best.into_sorted()
             .into_iter()
-            .map(|(_, i)| (i, &db.runs()[i]))
+            .map(|(_, i)| (i, &*db.runs()[i]))
             .collect()
     }
 
